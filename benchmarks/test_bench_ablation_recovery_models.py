@@ -1,9 +1,9 @@
 """Ablation bench: RBF-SVC vs Gaussian naive Bayes as the recovery model.
 
-The paper uses RBF-SVC; the from-scratch SMO makes that the most
-expensive stage of the reproduction, so we provide Gaussian NB as a
-closed-form alternative.  This bench trains both on identical data and
-compares validation accuracy and wall-clock fit time.
+The paper uses RBF-SVC, trained here by libsvm's second-order SMO on an
+``n_train``-square kernel matrix; Gaussian NB is the closed-form
+alternative in linear memory.  This bench trains both on identical data
+and compares validation accuracy and wall-clock fit time.
 
 Expected shape: comparable accuracy (both well above 0.9 on this task),
 NB at a fraction of the training time.

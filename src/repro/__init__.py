@@ -9,7 +9,7 @@ The package is organised by layer:
   synthetic Beijing/NYC cities.
 * :mod:`repro.datasets` — target samplers: synthetic T-drive taxi traces,
   Foursquare-style check-ins, uniform random locations.
-* :mod:`repro.ml` — from-scratch SVM family (SMO SVC, kernel regression).
+* :mod:`repro.ml` — from-scratch SVM family (libsvm-style SVC, kernel regression).
 * :mod:`repro.dp` — Gaussian/Laplace mechanisms, planar Laplace, accounting.
 * :mod:`repro.attacks` — region re-identification, the fine-grained attack,
   the trajectory-uniqueness attack, the anti-sanitization recovery attack.

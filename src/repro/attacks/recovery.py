@@ -65,10 +65,10 @@ class SanitizationRecoveryAttack:
     C:
         SVM soft-margin penalty (``model="svc"`` only).
     model:
-        ``"svc"`` for the paper's RBF-SVC (one-vs-rest over the SMO
+        ``"svc"`` for the paper's RBF-SVC (one-vs-rest over libsvm's SMO
         solver) or ``"naive_bayes"`` for the closed-form Gaussian NB
-        alternative, which trains orders of magnitude faster at paper
-        scale with comparable accuracy (see the recovery-model bench).
+        alternative, which trains faster in linear memory with comparable
+        accuracy (see the recovery-model bench).
     """
 
     def __init__(
@@ -129,8 +129,8 @@ class SanitizationRecoveryAttack:
         """Generate training data and train one model per sanitized type.
 
         The paper trains on 10,000 random locations with 2,000 validation
-        samples; the defaults here are scaled down for the from-scratch SMO
-        solver and are configurable back up.
+        samples; the defaults here are scaled down, because the SVC holds
+        an ``n_train``-square kernel matrix, and are configurable back up.
         """
         if n_train <= 1 or n_validation <= 0:
             raise AttackError("need positive training and validation sizes")
@@ -158,7 +158,7 @@ class SanitizationRecoveryAttack:
         for t in modeled:
             y = freqs[:, t].astype(np.int64)
             if self._model_kind == "svc":
-                model = OneVsRestSVC(C=self._C, kernel="rbf", rng=gen)
+                model = OneVsRestSVC(C=self._C, kernel="rbf")
             else:
                 model = GaussianNaiveBayes()
             model.fit(X_train, y[:n_train])

@@ -23,7 +23,7 @@ __all__ = ["run_fig2", "auto_max_types"]
 #: Number of recovery models trained per (city, radius) at reduced scales.
 #: The paper trains one model per sanitized type; the reduced presets train
 #: the N city-rarest sanitized types — the ones the region attack anchors
-#: on — to keep the from-scratch SMO solver affordable.
+#: on — to bound the number of SVC fits per pass.
 _AUTO_MAX_TYPES = {"ci": 20, "quick": 40}
 
 

@@ -1,11 +1,11 @@
 """Gaussian naive Bayes — a fast alternative recovery model.
 
 The paper's recovery attack trains one RBF-SVC per sanitized type on
-10,000 samples; with the from-scratch SMO solver that is the single most
-expensive stage of the reproduction.  Gaussian naive Bayes fits the same
-per-type frequency-prediction task in closed form (per-class means and
-variances), training orders of magnitude faster with comparable accuracy
-on this data — see the recovery-model ablation bench.  It is exposed via
+10,000 samples, and the SVC's kernel matrix grows with the square of that.
+Gaussian naive Bayes fits the same per-type frequency-prediction task in
+closed form (per-class means and variances), training faster and in
+linear memory with comparable accuracy on this data — see the
+recovery-model ablation bench.  It is exposed via
 ``SanitizationRecoveryAttack(model="naive_bayes")``.
 """
 

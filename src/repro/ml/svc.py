@@ -1,10 +1,12 @@
-"""Support vector classification trained with SMO.
+"""Support vector classification trained with libsvm's SMO.
 
 A from-scratch replacement for scikit-learn's ``SVC`` (the paper's
 prediction model for recovering sanitized frequencies, §III-A): a binary
-soft-margin SVM solved with Platt's simplified Sequential Minimal
-Optimization on a precomputed kernel matrix, plus a one-vs-rest wrapper for
-multiclass frequency prediction.
+soft-margin SVM solved on a precomputed kernel matrix by the same
+algorithm libsvm uses — Sequential Minimal Optimization with second-order
+working-set selection (Fan, Chen & Lin, "Working Set Selection Using
+Second Order Information for Training SVM", JMLR 6, 2005) — plus a
+one-vs-rest wrapper for multiclass frequency prediction.
 """
 
 from __future__ import annotations
@@ -12,10 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import NotFittedError
-from repro.core.rng import RngLike, as_generator
 from repro.ml.kernels import gamma_scale, linear_kernel, rbf_kernel
 
 __all__ = ["BinarySVC", "OneVsRestSVC"]
+
+#: libsvm's floor for a non-positive pair curvature ``K_ii + K_jj - 2 K_ij``.
+_TAU = 1e-12
+
+
+def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"expected 1-d labels, got shape {y.shape}")
+    if len(X) != len(y):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
 
 
 class BinarySVC:
@@ -30,11 +43,18 @@ class BinarySVC:
     gamma:
         RBF width; ``None`` uses the ``1 / (d * Var(X))`` heuristic.
     tol:
-        KKT violation tolerance.
-    max_passes:
-        Number of full passes without any update before stopping.
+        Stopping tolerance on the maximal KKT violation ``m(α) - M(α)``
+        (libsvm's ``eps``).
     max_iter:
-        Hard cap on optimization sweeps.
+        Caps training at ``max_iter * n`` pair updates for ``n`` training
+        rows.
+
+    Attributes
+    ----------
+    support_:
+        Training-row indices of the support vectors (``α > 0``).
+    dual_coef_:
+        ``α_s y_s`` for each support vector, in ``support_`` order.
     """
 
     def __init__(
@@ -43,25 +63,24 @@ class BinarySVC:
         kernel: str = "rbf",
         gamma: "float | None" = None,
         tol: float = 1e-3,
-        max_passes: int = 3,
         max_iter: int = 200,
-        rng: RngLike = None,
     ) -> None:
         if C <= 0:
             raise ValueError(f"C must be positive, got {C}")
         if kernel not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel {kernel!r}")
+        if tol <= 0:
+            raise ValueError(f"tol must be positive, got {tol}")
         self.C = C
         self.kernel = kernel
         self.gamma = gamma
         self.tol = tol
-        self.max_passes = max_passes
         self.max_iter = max_iter
-        self._rng = as_generator(rng)
         self._X: "np.ndarray | None" = None
-        self._alpha_y: "np.ndarray | None" = None
+        self.dual_coef_: "np.ndarray | None" = None
         self._b = 0.0
         self._gamma_fitted = 1.0
+        self.support_: "np.ndarray | None" = None
 
     def _kernel_matrix(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         if self.kernel == "linear":
@@ -72,6 +91,7 @@ class BinarySVC:
         """Train on labels ``y`` in ``{-1, +1}``."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
+        _check_shapes(X, y)
         if set(np.unique(y)) - {-1.0, 1.0}:
             raise ValueError("labels must be in {-1, +1}")
         n = len(X)
@@ -79,101 +99,112 @@ class BinarySVC:
         if len(np.unique(y)) < 2:
             # Degenerate one-class training set: constant decision function.
             self._X = X[:1]
-            self._alpha_y = np.zeros(1)
+            self.dual_coef_ = np.zeros(1)
             self._b = float(y[0]) if n else 1.0
+            self.support_ = np.arange(min(n, 1))
             return self
 
+        C = self.C
         K = self._kernel_matrix(X, X)
+        K_diag = K.diagonal().copy()
         alpha = np.zeros(n)
-        self._b = 0.0
-        # Error cache: E_i = f(x_i) - y_i, with f = K @ (alpha * y) + b.
-        E = -y.copy()
+        # yG = y * G for the dual gradient G = Q @ alpha - 1, where
+        # Q[s, t] = y_s y_t K[s, t]; with y in {-1, +1} it updates as
+        # yG += Σ_pair y_p Δα_p K[p].
+        yG = -y.copy()
+        # I_up / I_low: the rows whose alpha may move up / down along y;
+        # at alpha = 0 those are the positive / negative rows.
+        up = y > 0
+        low = ~up
+        for _ in range(self.max_iter * n):
+            # First choice: the maximal violator i = argmax_{I_up} -y G.
+            scores = np.where(up, -yG, -np.inf)
+            i = int(np.argmax(scores))
+            g_max = scores[i]
+            if g_max + np.max(np.where(low, yG, -np.inf)) < self.tol:
+                break
+            # Second choice: j over I_low maximizing the second-order gain
+            # b² / a, with b = -y_i G_i + y_j G_j > 0 and the pair curvature
+            # a = K_ii + K_jj - 2 K_ij floored at τ.
+            grad_diff = g_max + yG
+            curvature = K_diag[i] + K_diag - 2.0 * K[i]
+            curvature[curvature <= 0.0] = _TAU
+            gains = np.where(low & (grad_diff > 0.0), grad_diff * grad_diff / curvature, -np.inf)
+            j = int(np.argmax(gains))
 
-        def take_step(i: int, j: int) -> bool:
-            """Attempt one SMO pair update; True if alphas moved."""
-            nonlocal E
-            if i == j:
-                return False
-            Ei, Ej = E[i], E[j]
+            # Two-variable update along y_i α_i + y_j α_j = const, clipped
+            # to the box [0, C]² (libsvm's Solver::Solve).
             ai_old, aj_old = alpha[i], alpha[j]
+            a = float(curvature[j])
             if y[i] != y[j]:
-                L = max(0.0, aj_old - ai_old)
-                H = min(self.C, self.C + aj_old - ai_old)
+                delta = y[i] * (yG[j] - yG[i]) / a
+                diff = ai_old - aj_old
+                ai, aj = ai_old + delta, aj_old + delta
+                if diff > 0.0:
+                    if aj < 0.0:
+                        ai, aj = diff, 0.0
+                elif ai < 0.0:
+                    ai, aj = 0.0, -diff
+                if diff > 0.0:
+                    if ai > C:
+                        ai, aj = C, C - diff
+                elif aj > C:
+                    ai, aj = C + diff, C
             else:
-                L = max(0.0, ai_old + aj_old - self.C)
-                H = min(self.C, ai_old + aj_old)
-            if H - L < 1e-12:
-                return False
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= -1e-12:
-                return False
-            aj = aj_old - y[j] * (Ei - Ej) / eta
-            aj = min(H, max(L, aj))
-            if abs(aj - aj_old) < 1e-7:
-                return False
-            ai = ai_old + y[i] * y[j] * (aj_old - aj)
-            b = self._b
-            b1 = b - Ei - y[i] * (ai - ai_old) * K[i, i] - y[j] * (aj - aj_old) * K[i, j]
-            b2 = b - Ej - y[i] * (ai - ai_old) * K[i, j] - y[j] * (aj - aj_old) * K[j, j]
-            if 0 < ai < self.C:
-                new_b = b1
-            elif 0 < aj < self.C:
-                new_b = b2
-            else:
-                new_b = (b1 + b2) / 2.0
-            # Incremental error-cache update.
-            E += y[i] * (ai - ai_old) * K[i] + y[j] * (aj - aj_old) * K[j] + (new_b - b)
+                delta = y[i] * (yG[i] - yG[j]) / a
+                total = ai_old + aj_old
+                ai, aj = ai_old - delta, aj_old + delta
+                if total > C:
+                    if ai > C:
+                        ai, aj = C, total - C
+                    if aj > C:
+                        ai, aj = total - C, C
+                else:
+                    if aj < 0.0:
+                        ai, aj = total, 0.0
+                    if ai < 0.0:
+                        ai, aj = 0.0, total
             alpha[i], alpha[j] = ai, aj
-            self._b = new_b
-            return True
+            yG += (y[i] * (ai - ai_old)) * K[i] + (y[j] * (aj - aj_old)) * K[j]
+            for t in (i, j):
+                up[t] = alpha[t] < C if y[t] > 0 else alpha[t] > 0
+                low[t] = alpha[t] > 0 if y[t] > 0 else alpha[t] < C
 
-        passes = 0
-        it = 0
-        while passes < self.max_passes and it < self.max_iter:
-            it += 1
-            n_changed = 0
-            for i in range(n):
-                Ei = E[i]
-                violates = (y[i] * Ei < -self.tol and alpha[i] < self.C) or (
-                    y[i] * Ei > self.tol and alpha[i] > 0
-                )
-                if not violates:
-                    continue
-                # Second-choice heuristic first, then Platt's fallback over
-                # random partners until one makes progress.
-                j = int(np.argmax(np.abs(E - Ei)))
-                if take_step(i, j):
-                    n_changed += 1
-                    continue
-                for j in self._rng.permutation(n)[:50]:
-                    if take_step(i, int(j)):
-                        n_changed += 1
-                        break
-            passes = passes + 1 if n_changed == 0 else 0
-        b = self._b
+        # b = -ρ: the mean of y G over free support vectors, or the middle
+        # of the interval the bounded ones leave when none is free.
+        free = (alpha > 0.0) & (alpha < C)
+        if free.any():
+            rho = float(yG[free].mean())
+        else:
+            # Both sides are non-empty: y @ alpha = 0 rules out every
+            # positive row at C with every negative row at 0, and vice versa.
+            at_upper = alpha >= C
+            ub_rows = np.where(y > 0, ~at_upper, at_upper)
+            rho = (float(yG[ub_rows].min()) + float(yG[~ub_rows].max())) / 2.0
 
-        support = alpha > 1e-8
+        support = alpha > 0.0
+        self.support_ = np.flatnonzero(support)
         self._X = X[support]
-        self._alpha_y = (alpha * y)[support]
-        self._b = float(b)
+        self.dual_coef_ = (alpha * y)[support]
+        self._b = -rho
         return self
 
     @property
     def n_support(self) -> int:
         """Number of support vectors."""
-        if self._alpha_y is None:
+        if self.dual_coef_ is None:
             raise NotFittedError("BinarySVC used before fit()")
-        return len(self._alpha_y)
+        return len(self.dual_coef_)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Signed margin ``f(x)`` for each row of *X*."""
-        if self._X is None or self._alpha_y is None:
+        if self._X is None or self.dual_coef_ is None:
             raise NotFittedError("BinarySVC used before fit()")
         X = np.asarray(X, dtype=float)
         if len(self._X) == 0:
             return np.full(len(X), self._b)
         K = self._kernel_matrix(X, self._X)
-        return K @ self._alpha_y + self._b
+        return K @ self.dual_coef_ + self._b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted labels in ``{-1, +1}``; ties resolve to +1."""
@@ -185,28 +216,30 @@ class OneVsRestSVC:
 
     Predicts the class whose binary machine reports the largest decision
     value — the standard one-vs-rest rule.  Classes are arbitrary integers
-    (here: candidate frequency values of a sanitized POI type).
+    (here: candidate frequency values of a sanitized POI type).  A
+    two-class problem trains a single machine, ``classes_[1]`` against
+    ``classes_[0]``, as libsvm does; ties go to ``classes_[0]``.
     """
 
-    def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: "float | None" = None, rng: RngLike = None) -> None:
+    def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: "float | None" = None) -> None:
         self.C = C
         self.kernel = kernel
         self.gamma = gamma
-        self._rng = as_generator(rng)
         self.classes_: "np.ndarray | None" = None
         self._machines: list[BinarySVC] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsRestSVC":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
+        _check_shapes(X, y)
         self.classes_ = np.unique(y)
-        self._machines = []
-        for cls in self.classes_:
-            machine = BinarySVC(
-                C=self.C, kernel=self.kernel, gamma=self.gamma, rng=self._rng
+        positives = self.classes_[1:] if len(self.classes_) == 2 else self.classes_
+        self._machines = [
+            BinarySVC(C=self.C, kernel=self.kernel, gamma=self.gamma).fit(
+                X, np.where(y == cls, 1.0, -1.0)
             )
-            machine.fit(X, np.where(y == cls, 1.0, -1.0))
-            self._machines.append(machine)
+            for cls in positives
+        ]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -214,5 +247,8 @@ class OneVsRestSVC:
             raise NotFittedError("OneVsRestSVC used before fit()")
         if len(self.classes_) == 1:
             return np.full(len(np.asarray(X)), self.classes_[0])
+        if len(self.classes_) == 2:
+            scores = self._machines[0].decision_function(X)
+            return np.where(scores > 0.0, self.classes_[1], self.classes_[0])
         scores = np.stack([m.decision_function(X) for m in self._machines], axis=1)
         return self.classes_[np.argmax(scores, axis=1)]

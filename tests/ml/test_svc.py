@@ -2,10 +2,50 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro.core.errors import NotFittedError
+from repro.ml.kernels import linear_kernel, rbf_kernel
 from repro.ml.metrics import accuracy_score
 from repro.ml.svc import BinarySVC, OneVsRestSVC
+
+
+_GAMMA = 0.5
+
+
+def _dual_problem(kernel, balance, seed):
+    """A small seeded SVM dual: features, ±1 labels and the kernel matrix."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 3))
+    score = X[:, 0] + 0.5 * X[:, 1] * X[:, 2] + 0.5 * rng.normal(size=40)
+    if balance == "balanced":
+        y = np.where(score > np.median(score), 1.0, -1.0)
+    else:
+        y = np.where(score >= np.sort(score)[-4], 1.0, -1.0)
+    K = linear_kernel(X, X) if kernel == "linear" else rbf_kernel(X, X, _GAMMA)
+    return X, y, K
+
+
+def _slsqp_dual(K, y, C):
+    """Reference optimum of min ½αᵀQα - Σα, yᵀα = 0, 0 ≤ α ≤ C."""
+    Q = np.outer(y, y) * K
+    result = minimize(
+        lambda a: 0.5 * a @ Q @ a - a.sum(),
+        np.zeros(len(y)),
+        jac=lambda a: Q @ a - 1.0,
+        bounds=[(0.0, C)] * len(y),
+        constraints=[{"type": "eq", "fun": lambda a: y @ a, "jac": lambda a: y}],
+        method="SLSQP",
+        options={"ftol": 1e-12, "maxiter": 2000},
+    )
+    assert result.success, result.message
+    return float(result.fun)
+
+
+def _full_alpha(model, n):
+    alpha = np.zeros(n)
+    alpha[model.support_] = np.abs(model.dual_coef_)
+    return alpha
 
 
 @pytest.fixture(scope="module")
@@ -27,24 +67,24 @@ def circle_task():
 class TestBinarySVC:
     def test_separable_linear(self, linear_task):
         X, y = linear_task
-        model = BinarySVC(C=10.0, kernel="linear", rng=0).fit(X, y)
+        model = BinarySVC(C=10.0, kernel="linear").fit(X, y)
         assert accuracy_score(y, model.predict(X)) > 0.95
 
     def test_rbf_on_nonlinear_task(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0, kernel="rbf", rng=0).fit(X, y)
+        model = BinarySVC(C=5.0, kernel="rbf").fit(X, y)
         assert accuracy_score(y, model.predict(X)) > 0.9
 
     def test_linear_kernel_fails_on_circle(self, circle_task):
         """The nonlinear task should separate RBF from linear decision power."""
         X, y = circle_task
-        linear = BinarySVC(C=5.0, kernel="linear", rng=0).fit(X, y)
-        rbf = BinarySVC(C=5.0, kernel="rbf", rng=0).fit(X, y)
+        linear = BinarySVC(C=5.0, kernel="linear").fit(X, y)
+        rbf = BinarySVC(C=5.0, kernel="rbf").fit(X, y)
         assert accuracy_score(y, rbf.predict(X)) > accuracy_score(y, linear.predict(X))
 
     def test_generalisation(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0, rng=0).fit(X[:300], y[:300])
+        model = BinarySVC(C=5.0).fit(X[:300], y[:300])
         assert accuracy_score(y[300:], model.predict(X[300:])) > 0.85
 
     def test_predict_before_fit_raises(self):
@@ -63,7 +103,7 @@ class TestBinarySVC:
 
     def test_support_vectors_subset(self, linear_task):
         X, y = linear_task
-        model = BinarySVC(C=1.0, rng=0).fit(X, y)
+        model = BinarySVC(C=1.0).fit(X, y)
         assert 0 < model.n_support <= len(X)
 
     def test_invalid_params(self):
@@ -71,13 +111,96 @@ class TestBinarySVC:
             BinarySVC(C=0.0)
         with pytest.raises(ValueError):
             BinarySVC(kernel="poly")
+        with pytest.raises(ValueError, match="tol"):
+            BinarySVC(tol=0.0)
 
     def test_decision_function_sign_matches_predict(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0, rng=0).fit(X, y)
+        model = BinarySVC(C=5.0).fit(X, y)
         scores = model.decision_function(X)
         preds = model.predict(X)
         np.testing.assert_array_equal(np.where(scores >= 0, 1.0, -1.0), preds)
+
+
+class TestSolverAgainstReference:
+    """The SMO optimum against scipy's SLSQP on the same dual problem."""
+
+    C = 1.0
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("balance", ["balanced", "imbalanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_slsqp_optimum(self, kernel, balance, seed):
+        X, y, K = _dual_problem(kernel, balance, seed)
+        model = BinarySVC(C=self.C, kernel=kernel, gamma=_GAMMA).fit(X, y)
+        alpha = _full_alpha(model, len(y))
+        Q = np.outer(y, y) * K
+        objective = 0.5 * alpha @ Q @ alpha - alpha.sum()
+        reference = _slsqp_dual(K, y, self.C)
+        assert abs(objective - reference) <= 1e-4 * abs(reference)
+
+        # Feasibility and the KKT gap m(α) - M(α) at the returned point.
+        assert abs(y @ alpha) <= 1e-8
+        assert (alpha >= 0.0).all() and (alpha <= self.C).all()
+        minus_yG = -y * (Q @ alpha - 1.0)
+        up = np.where(y > 0, alpha < self.C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < self.C)
+        assert minus_yG[up].max() - minus_yG[low].min() <= model.tol
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("C", [1.0, 1e-3])
+    def test_bias_meets_the_margin_conditions(self, kernel, C):
+        """y f(x) ≥ 1 at α = 0, = 1 when free, ≤ 1 at α = C, all within tol.
+
+        C = 1e-3 leaves every support vector at the bound, which exercises
+        the midpoint fallback for the bias.
+        """
+        X, y, _ = _dual_problem(kernel, "balanced", 0)
+        model = BinarySVC(C=C, kernel=kernel, gamma=_GAMMA).fit(X, y)
+        alpha = _full_alpha(model, len(y))
+        margins = y * model.decision_function(X)
+        free = (alpha > 0) & (alpha < C)
+        assert free.any() == (C == 1.0)
+        assert (margins[alpha == 0] >= 1.0 - model.tol).all()
+        assert (margins[alpha >= C] <= 1.0 + model.tol).all()
+        np.testing.assert_allclose(margins[free], 1.0, atol=model.tol)
+
+        # libsvm's ρ: the mean of y G over the free vectors, otherwise the
+        # midpoint of the bounds the bounded vectors put on it.
+        K = linear_kernel(X, X) if kernel == "linear" else rbf_kernel(X, X, _GAMMA)
+        yG = y * (np.outer(y, y) * K @ alpha - 1.0)
+        if free.any():
+            rho = yG[free].mean()
+        else:
+            bounds_rho_above = np.where(y > 0, alpha < C, alpha >= C)
+            rho = (yG[bounds_rho_above].min() + yG[~bounds_rho_above].max()) / 2.0
+        np.testing.assert_allclose(model.decision_function(X), K @ (alpha * y) - rho, atol=1e-9)
+
+    def test_refits_are_bit_identical(self, circle_task):
+        X, y = circle_task
+        first = BinarySVC(C=5.0).fit(X, y)
+        second = BinarySVC(C=5.0).fit(X, y)
+        np.testing.assert_array_equal(first.support_, second.support_)
+        np.testing.assert_array_equal(first.dual_coef_, second.dual_coef_)
+        np.testing.assert_array_equal(first.decision_function(X), second.decision_function(X))
+
+
+class TestShapeValidation:
+    @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
+    def test_label_count_mismatch(self, make):
+        X = np.random.default_rng(0).normal(size=(100, 2))
+        with pytest.raises(ValueError, match="100 rows but y has 1"):
+            make().fit(X, np.array([1.0]))
+
+    @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
+    def test_one_dimensional_features(self, make):
+        with pytest.raises(ValueError, match=r"2-d feature matrix, got shape \(4,\)"):
+            make().fit(np.zeros(4), np.array([1.0, -1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
+    def test_two_dimensional_labels(self, make):
+        with pytest.raises(ValueError, match=r"1-d labels, got shape \(4, 1\)"):
+            make().fit(np.zeros((4, 2)), np.ones((4, 1)))
 
 
 class TestOneVsRestSVC:
@@ -85,20 +208,20 @@ class TestOneVsRestSVC:
         rng = np.random.default_rng(3)
         X = rng.uniform(-2, 2, size=(400, 2))
         y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0).astype(int)
-        model = OneVsRestSVC(C=5.0, rng=0).fit(X, y)
+        model = OneVsRestSVC(C=5.0).fit(X, y)
         assert accuracy_score(y, model.predict(X)) > 0.9
 
     def test_predicts_known_classes_only(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(100, 2))
         y = rng.choice([3, 7, 11], size=100)
-        model = OneVsRestSVC(rng=0).fit(X, y)
+        model = OneVsRestSVC().fit(X, y)
         assert set(model.predict(X)).issubset({3, 7, 11})
 
     def test_single_class_training(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.full(20, 5)
-        model = OneVsRestSVC(rng=0).fit(X, y)
+        model = OneVsRestSVC().fit(X, y)
         assert (model.predict(X) == 5).all()
 
     def test_predict_before_fit_raises(self):
@@ -111,5 +234,49 @@ class TestOneVsRestSVC:
         X = rng.normal(size=(300, 5))
         # Target is 0 unless feature 2 is large, then 1 or 2.
         y = np.where(X[:, 2] > 1.0, np.where(X[:, 3] > 0, 2, 1), 0)
-        model = OneVsRestSVC(C=5.0, rng=0).fit(X, y)
+        model = OneVsRestSVC(C=5.0).fit(X, y)
         assert accuracy_score(y, model.predict(X)) > 0.9
+
+
+def _quadrant_parity_task():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2, 2, size=(400, 2))
+    return X, ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
+
+
+def _imbalanced_two_class_task():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(300, 5))
+    return X, np.where(X[:, 2] > 1.0, 4, 0)
+
+
+class TestTwoClassOneVsRest:
+    """Two classes train one machine, which agrees with the mirrored pair."""
+
+    @pytest.mark.parametrize("task", [_quadrant_parity_task, _imbalanced_two_class_task])
+    def test_matches_argmax_of_mirror_machines(self, task):
+        X, y = task()
+        model = OneVsRestSVC(C=5.0).fit(X, y)
+        classes = np.unique(y)
+        mirrors = [BinarySVC(C=5.0).fit(X, np.where(y == cls, 1.0, -1.0)) for cls in classes]
+        scores = np.stack([m.decision_function(X) for m in mirrors], axis=1)
+        np.testing.assert_array_equal(model.predict(X), classes[np.argmax(scores, axis=1)])
+
+    def test_trains_a_single_machine(self, monkeypatch):
+        X, y = _quadrant_parity_task()
+        calls = []
+        fit = BinarySVC.fit
+
+        def counting_fit(self, X, y):
+            calls.append(len(X))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(BinarySVC, "fit", counting_fit)
+        OneVsRestSVC(C=5.0).fit(X, y)
+        assert calls == [len(X)]
+
+    def test_ties_resolve_to_the_first_class(self):
+        X = np.zeros((6, 2))
+        y = np.array([2, 9, 2, 9, 2, 9])
+        model = OneVsRestSVC().fit(X, y)
+        assert (model.predict(np.zeros((3, 2))) == 2).all()
