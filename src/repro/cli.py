@@ -608,6 +608,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else 0,
         epsilon=args.epsilon,
     )
+    if service.journal.disabled_reason is not None:
+        print(
+            f"poiagg serve: journal disabled: {service.journal.disabled_reason}",
+            file=sys.stderr,
+        )
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[0], server.server_address[1]
     print(f"[poiagg serve: {city.name} on http://{host}:{port} ]", flush=True)

@@ -9,7 +9,8 @@ PL015 enforces this for durable-path modules).  That single indirection
 buys three things:
 
 * **fault injection** — :class:`FaultyVFS` driven by a seeded
-  :class:`DiskFaultPlan` turns the deployment failure modes that destroy
+  :class:`DiskFaultPlan` (rates checked and faults tallied by
+  :mod:`repro.core.faults`) turns the deployment failure modes that destroy
   real systems (``ENOSPC``, ``EIO``, torn writes at byte *k*, fsyncs
   that lie, slow devices, failing renames) into deterministic,
   replayable test inputs;
@@ -48,11 +49,12 @@ import threading
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
 from repro.core.errors import ConfigError
+from repro.core.faults import FaultCounts, check_rates
 from repro.core.rng import derive_rng
 
 __all__ = [
@@ -301,17 +303,7 @@ class DiskFaultPlan:
     max_faults: "int | None" = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "enospc_rate",
-            "eio_rate",
-            "torn_write_rate",
-            "fsync_lie_rate",
-            "slow_io_rate",
-            "replace_failure_rate",
-        ):
-            rate = float(getattr(self, name))
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
+        check_rates(self, (f"{kind}_rate" for kind in DISK_FAULT_KINDS))
         if self.slow_io_s < 0:
             raise ConfigError(f"slow_io_s must be >= 0, got {self.slow_io_s}")
         if self.crash_mode not in ("before", "torn"):
@@ -325,29 +317,7 @@ class DiskFaultPlan:
 
     @property
     def any_random_faults(self) -> bool:
-        return any(
-            getattr(self, f"{kind}_rate") > 0
-            for kind in ("enospc", "eio", "torn_write", "fsync_lie", "slow_io", "replace_failure")
-        )
-
-
-@dataclass
-class FaultCounts:
-    """Tally of what the faulty VFS actually did (for chaos assertions)."""
-
-    by_kind: dict[str, int] = field(default_factory=dict)
-    n_ops: int = 0
-    n_fsyncs: int = 0
-
-    def count(self, kind: str) -> None:
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_kind.values())
-
-    def as_dict(self) -> dict[str, int]:
-        return {"n_ops": self.n_ops, "n_fsyncs": self.n_fsyncs, **self.by_kind}
+        return any(getattr(self, f"{kind}_rate") > 0 for kind in DISK_FAULT_KINDS)
 
 
 class FaultyVFS(DurableVFS):
@@ -359,6 +329,11 @@ class FaultyVFS(DurableVFS):
     healthy run is indistinguishable from the production VFS), but only
     an honest fsync advances a file's durable snapshot, and only
     :meth:`simulate_crash` applies the difference.
+
+    Each rate is rolled independently per eligible operation, and
+    :attr:`counts` tallies the injected faults by kind
+    (:data:`DISK_FAULT_KINDS`); :attr:`n_ops` and :attr:`n_fsyncs` count
+    the eligible operations it mediated.
     """
 
     def __init__(self, plan: "DiskFaultPlan | None" = None) -> None:
@@ -370,13 +345,11 @@ class FaultyVFS(DurableVFS):
         #: paths whose current on-disk content may exceed their durable state.
         self._touched: set[str] = set()
         self.counts = FaultCounts()
+        self.n_ops = 0
+        self.n_fsyncs = 0
         self.op_log: list[tuple[str, str]] = []
 
     # -- observability --------------------------------------------------
-
-    @property
-    def n_ops(self) -> int:
-        return self.counts.n_ops
 
     def durable_bytes(self, path: "str | Path") -> "bytes | None":
         """The content of *path* that would survive a crash right now."""
@@ -468,18 +441,18 @@ class FaultyVFS(DurableVFS):
             return
         with self._lock:
             self._track(path)
-            self.counts.n_ops += 1
-            index = self.counts.n_ops
+            self.n_ops += 1
+            index = self.n_ops
             self.op_log.append((op, str(path)))
             if op == "fsync":
-                self.counts.n_fsyncs += 1
+                self.n_fsyncs += 1
             plan = self.plan
             if plan.crash_at_op is not None and index >= plan.crash_at_op:
                 if plan.crash_mode == "torn" and op == "write" and data is not None:
                     self._tear_write(path, data, crash=True)
                 raise SimulatedCrash(index, op, str(path))
             if plan.lie_at_fsync is not None and op == "fsync":
-                if self.counts.n_fsyncs == plan.lie_at_fsync:
+                if self.n_fsyncs == plan.lie_at_fsync:
                     self.counts.count("fsync_lie")
                     raise _FsyncLied()
             if self._roll(plan.slow_io_rate):
@@ -569,12 +542,3 @@ def install_vfs(vfs: DurableVFS) -> Iterator[DurableVFS]:
         with _install_lock:
             _active_vfs = _DEFAULT_VFS
 
-
-def seeds_from_env(value: "str | None", default: tuple[int, ...] = (0,)) -> tuple[int, ...]:
-    """Parse a whitespace-separated seed list env value (chaos CI knob)."""
-    if value is None or not value.strip():
-        return default
-    try:
-        return tuple(int(tok) for tok in value.split())
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {value!r}: {exc}") from exc

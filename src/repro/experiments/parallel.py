@@ -51,13 +51,12 @@ from repro.core.errors import ConfigError, ShardError
 from repro.experiments.registry import get_experiment
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scale import ExperimentScale
-from repro.experiments.supervisor import ShardPolicy, supervise_shards
+from repro.experiments.supervisor import ShardPolicy, WorkerFaultPlan, supervise_shards
 from repro.poi.shared import SharedCityHandle, attach_and_install, share_cities
 
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from repro.lbs.faults import WorkerFaultPlan
     from repro.poi.cities import City
 
 __all__ = [

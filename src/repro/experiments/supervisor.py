@@ -21,7 +21,9 @@ shard.  This module is the supervision layer the pool lacks:
   ``(seed, labels)``, a resumed sweep is bit-identical to an
   uninterrupted one;
 * **journal** — a JSONL progress/heartbeat journal
-  (``<out>/.checkpoints/journal.jsonl``) records every launch, fate,
+  (``<out>/.checkpoints/journal.jsonl``, a
+  :class:`~repro.core.events.EventLog` stamped by the monotonic
+  :class:`~repro.core.clock.SystemClock`) records every launch, fate,
   retry, and a periodic heartbeat naming the in-flight shards, so an
   operator can see which shard is running, stalled, or being retried.
 
@@ -35,15 +37,15 @@ in its ``provenance``.  The state machine per shard::
     crashed --serial_fallback--> ok/retried       (re-run in the parent)
     checkpoint match -> resumed                   (never launched)
 
-Testing hook: a seeded :class:`WorkerFaultPlan` (same design as
-:class:`repro.lbs.faults.FaultPlan`) makes workers deterministically
+Testing hook: a seeded :class:`WorkerFaultPlan` (rates checked and
+picked by :mod:`repro.core.faults`) makes workers deterministically
 crash (``os._exit``), hang, or raise mid-shard, which the chaos suite
 uses to drive every supervision path.
 """
 
-# This module IS the sanctioned timing boundary: journal heartbeat
-# timestamps and shard completed_at marks are operator telemetry outside
-# the checkpointed rows (shard resume matches on (experiment, scale,
+# This module IS the sanctioned timing boundary: shard completed_at
+# marks and attempt durations are operator telemetry outside the
+# checkpointed rows (shard resume matches on (experiment, scale,
 # seed, shard)), so wall-clock reads here cannot break resume
 # bit-identity.
 # poiagg: disable=PL005
@@ -62,9 +64,12 @@ from dataclasses import asdict, dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
+from repro.core.clock import SystemClock
 from repro.core.errors import ConfigError, TransientError
+from repro.core.events import EventLog
+from repro.core.faults import check_rates, pick
 from repro.core.rng import derive_rng
-from repro.core.vfs import VFSFile, get_vfs
+from repro.core.vfs import get_vfs
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import load_checkpoint, write_checkpoint
 from repro.experiments.scale import ExperimentScale
@@ -86,6 +91,10 @@ _JOURNAL_NAME = "journal.jsonl"
 _CRASH_EXIT = 87
 
 _FAULT_FATES = ("crash", "hang", "error", "ok")
+
+#: One uniform per ``(shard, attempt)`` picks at most one of these; fault
+#: kind -> rate field of :class:`WorkerFaultPlan`.
+_WORKER_RATES = {fate: f"{fate}_rate" for fate in _FAULT_FATES if fate != "ok"}
 
 
 @dataclass(frozen=True)
@@ -148,9 +157,9 @@ class ShardReport:
 class WorkerFaultPlan:
     """Deterministic worker-level faults for chaos-testing the supervisor.
 
-    Same design as :class:`repro.lbs.faults.FaultPlan`: declarative
-    rates, one seeded uniform per decision, and the whole fault timeline
-    a pure function of the plan.  The decision stream is derived per
+    Declarative rates, one seeded uniform per decision (picked into a
+    fault by :func:`repro.core.faults.pick`), and the whole fault
+    timeline a pure function of the plan.  The uniform is derived per
     ``(seed, shard, attempt)`` — not consumed sequentially — so fates do
     not depend on scheduling order.
 
@@ -170,12 +179,11 @@ class WorkerFaultPlan:
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate", "error_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.crash_rate + self.hang_rate + self.error_rate > 1.0:
-            raise ConfigError("worker fault rates (crash + hang + error) exceed 1")
+        check_rates(
+            self,
+            _WORKER_RATES.values(),
+            exceeds="worker fault rates (crash + hang + error) exceed 1",
+        )
         if self.hang_s < 0:
             raise ConfigError(f"hang_s must be non-negative, got {self.hang_s}")
         if self.max_faults_per_shard < 0:
@@ -194,13 +202,7 @@ class WorkerFaultPlan:
             if value == shard_value:
                 return None if fate == "ok" else fate
         u = float(derive_rng(self.seed, "worker-fault", shard_value, attempt).random())
-        if u < self.crash_rate:
-            return "crash"
-        if u < self.crash_rate + self.hang_rate:
-            return "hang"
-        if u < self.crash_rate + self.hang_rate + self.error_rate:
-            return "error"
-        return None
+        return pick(u, self, _WORKER_RATES)
 
 
 # --- checkpoint / journal layout ---
@@ -265,45 +267,6 @@ def _checkpoint_matches(
         and checkpoint.get("shard_value") == shard_value
         and checkpoint.get("config_key") == _config_key(kwargs)
     )
-
-
-class _Journal:
-    """Append-only JSONL event log (no-op when no path is given).
-
-    Telemetry degrades, the sweep does not: a disk that refuses the
-    journal (``ENOSPC``/``EIO``) disables it instead of failing shards.
-    """
-
-    def __init__(self, path: "Path | None") -> None:
-        self._fh: "VFSFile | None" = None
-        self.disabled_reason: "str | None" = None
-        if path is not None:
-            path = Path(path)
-            vfs = get_vfs()
-            try:
-                vfs.mkdir(path.parent, parents=True, exist_ok=True)
-                self._fh = vfs.open(path, "a")
-            except OSError as exc:
-                self.disabled_reason = f"journal open refused: {exc}"
-
-    def write(self, event: str, **fields: object) -> None:
-        if self._fh is None:
-            return
-        record = {"ts": round(time.time(), 3), "event": event, **fields}
-        try:
-            self._fh.write(json.dumps(record, default=repr) + "\n")
-        except OSError as exc:
-            self.disabled_reason = f"journal write refused: {exc}"
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 # --- the worker side ---
@@ -440,7 +403,7 @@ def supervise_shards(
         raise ConfigError("shard-level resume needs an output directory for checkpoints")
     if journal_path is None and out is not None:
         journal_path = shard_journal_path(out)
-    journal = _Journal(journal_path)
+    journal = EventLog(journal_path, SystemClock())
     scale_fields = asdict(scale)
     ctx = multiprocessing.get_context()
 
@@ -459,7 +422,7 @@ def supervise_shards(
             partials[i] = ckpt["result"]
             reports[i].status = "resumed"
             reports[i].resumed = True
-            journal.write("resume", shard=value)
+            journal.event("resume", shard=value)
         else:
             pending.append(i)
 
@@ -487,7 +450,7 @@ def supervise_shards(
         child_conn.close()
         now = time.monotonic()
         deadline = now + policy.timeout_s if policy.timeout_s is not None else None
-        journal.write(
+        journal.event(
             "start",
             shard=shards[index],
             attempt=report.attempts,
@@ -526,10 +489,10 @@ def supervise_shards(
             # memory) still merges into the sweep, only resumability is
             # lost.  atomic_writer guarantees no torn checkpoint exists.
             report.error = f"checkpoint write refused: {exc}"
-            journal.write(
+            journal.event(
                 "checkpoint_failed", shard=shards[att.index], error=str(exc)
             )
-        journal.write(
+        journal.event(
             "ok",
             shard=shards[att.index],
             attempt=att.attempt_no,
@@ -542,7 +505,7 @@ def supervise_shards(
         report.durations_s.append(round(time.monotonic() - att.started_at, 4))
         report.error = error
         report.traceback = tb
-        journal.write(
+        journal.event(
             kind,
             shard=shards[att.index],
             attempt=att.attempt_no,
@@ -550,7 +513,7 @@ def supervise_shards(
             error=error,
         )
         if att.attempt_no < policy.max_attempts:
-            journal.write("retry", shard=shards[att.index], next_attempt=att.attempt_no + 1)
+            journal.event("retry", shard=shards[att.index], next_attempt=att.attempt_no + 1)
             pending.append(att.index)
             return
         report.status = kind
@@ -611,7 +574,7 @@ def supervise_shards(
 
             if now - last_heartbeat >= policy.heartbeat_interval_s and running:
                 last_heartbeat = now
-                journal.write(
+                journal.event(
                     "heartbeat",
                     running=[
                         {
@@ -626,7 +589,7 @@ def supervise_shards(
 
         for index in fallback_queue:
             report = reports[index]
-            journal.write("fallback", shard=shards[index])
+            journal.event("fallback", shard=shards[index])
             start = time.monotonic()
             report.attempts += 1
             try:
@@ -637,7 +600,7 @@ def supervise_shards(
                 report.durations_s.append(round(time.monotonic() - start, 4))
                 report.error = f"serial fallback failed too: {type(exc).__name__}: {exc}"
                 report.traceback = traceback.format_exc()
-                journal.write("fallback_failed", shard=shards[index], error=report.error)
+                journal.event("fallback_failed", shard=shards[index], error=report.error)
                 continue
             report.durations_s.append(round(time.monotonic() - start, 4))
             report.status = "retried"
@@ -648,14 +611,14 @@ def supervise_shards(
                 _checkpoint(index)
             except OSError as exc:
                 report.error = f"checkpoint write refused: {exc}"
-                journal.write(
+                journal.event(
                     "checkpoint_failed", shard=shards[index], error=str(exc)
                 )
-            journal.write("fallback_ok", shard=shards[index])
+            journal.event("fallback_ok", shard=shards[index])
     finally:
         for att in running.values():
             _reap(att)
-        journal.write(
+        journal.event(
             "done",
             ok=sum(1 for r in reports if r.ok),
             failed=sum(1 for r in reports if not r.ok),

@@ -1,9 +1,9 @@
 """Seeded client-level fault injection for the federated chaos suite.
 
-Same design as the PR 1 LBS faults, PR 3 worker faults, and PR 6 serve
-faults: a :class:`ClientFaultPlan` declares rates, every decision is one
-seeded uniform derived per ``(seed, round, client, attempt)`` — never a
-sequentially-consumed stream — and the whole fault timeline is a pure
+A :class:`ClientFaultPlan` declares rates, every decision is one seeded
+uniform derived per ``(seed, round, client, attempt)`` — never a
+sequentially-consumed stream — picked into a fault by
+:func:`repro.core.faults.pick`, and the whole fault timeline is a pure
 function of the plan.  Fault classes and the fate each one drives a
 client toward:
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
+from repro.core.faults import check_rates, pick
 from repro.core.rng import derive_rng
 
 __all__ = ["CLIENT_FAULTS", "ClientFaultPlan"]
@@ -35,13 +36,9 @@ __all__ = ["CLIENT_FAULTS", "ClientFaultPlan"]
 #: Injectable fault kinds (and ``ok`` for overrides).
 CLIENT_FAULTS = ("crash", "hang", "malformed", "poisoned", "duplicate", "ok")
 
-_RATE_FIELDS = (
-    "crash_rate",
-    "hang_rate",
-    "malformed_rate",
-    "poisoned_rate",
-    "duplicate_rate",
-)
+#: One uniform per ``(round, client, attempt)`` picks at most one of
+#: these; fault kind -> rate field of :class:`ClientFaultPlan`.
+_CLIENT_RATES = {fate: f"{fate}_rate" for fate in CLIENT_FAULTS if fate != "ok"}
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,7 @@ class ClientFaultPlan:
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if sum(getattr(self, name) for name in _RATE_FIELDS) > 1.0 + 1e-12:
-            raise ConfigError("client fault rates exceed 1")
+        check_rates(self, _CLIENT_RATES.values(), exceeds="client fault rates exceed 1")
         if self.max_faults_per_client < 0:
             raise ConfigError("max_faults_per_client must be non-negative")
         if self.poison_factor <= 1.0:
@@ -87,7 +79,7 @@ class ClientFaultPlan:
 
     @property
     def any_faults(self) -> bool:
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS) or bool(
+        return any(getattr(self, name) > 0 for name in _CLIENT_RATES.values()) or bool(
             self.overrides
         )
 
@@ -101,9 +93,4 @@ class ClientFaultPlan:
         u = float(
             derive_rng(self.seed, "client-fault", round_id, client_id, attempt).random()
         )
-        edge = 0.0
-        for name in _RATE_FIELDS:
-            edge += getattr(self, name)
-            if u < edge:
-                return name.removesuffix("_rate")
-        return None
+        return pick(u, self, _CLIENT_RATES)

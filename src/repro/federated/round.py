@@ -29,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.clock import SystemClock
 from repro.core.errors import ConfigError
+from repro.core.events import EventLog
 from repro.core.retention import prune_keep_last
-from repro.core.vfs import get_vfs
 from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import PrivacyParams
 from repro.federated.admission import AdmissionPipeline, RoundLedger
@@ -249,44 +250,6 @@ class CampaignResult:
         return None
 
 
-class _Journal:
-    """Append-only campaign event log (advisory, like the shard journal).
-
-    Telemetry degrades, the campaign does not: a disk that refuses the
-    journal disables it instead of aborting rounds.
-    """
-
-    def __init__(self, path: "Path | None") -> None:
-        self._fh = None
-        self.disabled_reason: "str | None" = None
-        if path is not None:
-            vfs = get_vfs()
-            try:
-                vfs.mkdir(path.parent, parents=True, exist_ok=True)
-                self._fh = vfs.open(path, "a")
-            except OSError as exc:
-                self.disabled_reason = f"journal open refused: {exc}"
-
-    def write(self, event: str, **fields: object) -> None:
-        if self._fh is None:
-            return
-        try:
-            self._fh.write(
-                json.dumps({"event": event, **fields}, sort_keys=True) + "\n"
-            )
-        except OSError as exc:
-            self.disabled_reason = f"journal write refused: {exc}"
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-
-
 def _checkpoint_matches(
     state: "dict | None", fingerprint: str, seed: int, faults: str, round_id: int
 ) -> bool:
@@ -355,7 +318,7 @@ def run_campaign(
     grid = AdaptiveGrid(database.bounds, config.grid_nx, config.grid_ny)
     fingerprint = config.fingerprint()
     faults = _fault_fingerprint(fault_plan)
-    journal = _Journal(journal_path(out) if out is not None else None)
+    journal = EventLog(journal_path(out) if out is not None else None, SystemClock())
     result = CampaignResult(seed=seed)
 
     try:
@@ -374,7 +337,7 @@ def run_campaign(
                     result.rounds.append(outcome)
                     result.resumed_rounds += 1
                     restored = True
-                    journal.write(
+                    journal.event(
                         "round_resumed", round_id=round_id, committed=outcome.committed
                     )
             if restored:
@@ -392,7 +355,7 @@ def run_campaign(
                     outcome.released.sum(axis=1), config, population.n_types
                 )
             result.rounds.append(outcome)
-            journal.write(
+            journal.event(
                 "round_committed" if outcome.committed else "round_aborted",
                 round_id=round_id,
                 contributed=outcome.ledger.contributed,
@@ -421,7 +384,7 @@ def run_campaign(
                         checkpoint_keep_last,
                     )
                     if pruned:
-                        journal.write(
+                        journal.event(
                             "checkpoints_pruned",
                             round_id=round_id,
                             n_pruned=len(pruned),

@@ -4,24 +4,21 @@ Includes the fault-injection and resilience layer that turns the
 perfect-world reproduction into a robustness testbed: seeded
 :class:`FaultPlan`/:class:`FaultInjector` faults on the GSP and release
 paths, retry/circuit-breaker/degradation policies, and release-fate
-accounting in :class:`SessionReport`.
+accounting in :class:`SessionReport`.  The rate checks, the one-draw
+fault pick and the fired-fault tally come from :mod:`repro.core.faults`;
+the circuit breaker, which the serve layer shares, is
+:class:`repro.core.breaker.CircuitBreaker`.
 """
 
 from repro.lbs.entities import GeoServiceProvider, MobileUser, POIService
 from repro.lbs.faults import (
-    FaultCounts,
     FaultInjector,
     FaultPlan,
     FaultyGeoServiceProvider,
     FaultyPOIService,
 )
 from repro.lbs.messages import AggregateRelease, GeoQuery, GeoResponse
-from repro.lbs.resilience import (
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryPolicy,
-    UserSessionStats,
-)
+from repro.lbs.resilience import ResilienceConfig, RetryPolicy, UserSessionStats
 from repro.lbs.simulation import SessionReport, simulate_sessions
 
 __all__ = [
@@ -32,12 +29,10 @@ __all__ = [
     "MobileUser",
     "POIService",
     "FaultPlan",
-    "FaultCounts",
     "FaultInjector",
     "FaultyGeoServiceProvider",
     "FaultyPOIService",
     "RetryPolicy",
-    "CircuitBreaker",
     "ResilienceConfig",
     "UserSessionStats",
     "SessionReport",

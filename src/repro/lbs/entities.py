@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.breaker import CircuitBreaker
 from repro.core.clock import Clock, SimulatedClock
 from repro.core.errors import CircuitOpenError, ConfigError, TransientError
 from repro.core.rng import RngLike, as_generator
@@ -27,7 +28,7 @@ from repro.datasets.trajectory import Trajectory
 from repro.defense.base import Defense, NoDefense
 from repro.geo.point import Point
 from repro.lbs.messages import AggregateRelease, GeoQuery, GeoResponse
-from repro.lbs.resilience import CircuitBreaker, RetryPolicy, UserSessionStats
+from repro.lbs.resilience import RetryPolicy, UserSessionStats
 from repro.poi.database import POIDatabase
 from repro.poi.frequency import top_k_types, validate_frequency_vector
 

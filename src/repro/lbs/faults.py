@@ -6,8 +6,9 @@ time out, releases are lost in transit, vectors arrive corrupted, and
 replicas serve stale map snapshots.  This module injects exactly those
 imperfections, *reproducibly*: a :class:`FaultPlan` declares the rates,
 a :class:`FaultInjector` draws every fault decision from one seeded
-stream, and the same ``(seed, plan)`` pair always produces the same
-fault timeline.
+stream (one uniform per operation, turned into a fault kind by
+:func:`repro.core.faults.pick`), and the same ``(seed, plan)`` pair
+always produces the same fault timeline.
 
 The injector wraps the two server-side entities:
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.core.clock import Clock
 from repro.core.errors import ConfigError, TimeoutExceeded, TransientError
+from repro.core.faults import FaultCounts, check_rates, pick
 from repro.core.rng import as_generator
 from repro.lbs.entities import GeoServiceProvider, POIService
 from repro.lbs.messages import AggregateRelease, GeoQuery, GeoResponse
@@ -37,19 +39,20 @@ from repro.poi.database import POIDatabase
 
 __all__ = [
     "FaultPlan",
-    "FaultCounts",
     "FaultInjector",
     "FaultyGeoServiceProvider",
     "FaultyPOIService",
 ]
 
-_RATE_FIELDS = (
-    "transient_error_rate",
-    "timeout_rate",
-    "stale_snapshot_rate",
-    "drop_release_rate",
-    "corrupt_vector_rate",
-)
+#: One uniform per GSP operation (query or snapshot fetch) picks at most
+#: one of these; fault kind -> rate field of :class:`FaultPlan`.
+_GSP_RATES = {
+    "transient": "transient_error_rate",
+    "timeout": "timeout_rate",
+    "stale": "stale_snapshot_rate",
+}
+#: Likewise one uniform per release in transit.
+_RELEASE_RATES = {"drop": "drop_release_rate", "corrupt": "corrupt_vector_rate"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,42 +74,24 @@ class FaultPlan:
     timeout_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.transient_error_rate + self.timeout_rate + self.stale_snapshot_rate > 1.0:
-            raise ConfigError("GSP fault rates (transient + timeout + stale) exceed 1")
-        if self.drop_release_rate + self.corrupt_vector_rate > 1.0:
-            raise ConfigError("release fault rates (drop + corrupt) exceed 1")
+        check_rates(
+            self,
+            _GSP_RATES.values(),
+            exceeds="GSP fault rates (transient + timeout + stale) exceed 1",
+        )
+        check_rates(
+            self,
+            _RELEASE_RATES.values(),
+            exceeds="release fault rates (drop + corrupt) exceed 1",
+        )
         if self.timeout_s < 0:
             raise ConfigError(f"timeout_s must be non-negative, got {self.timeout_s}")
 
     @property
     def any_faults(self) -> bool:
         """Whether this plan injects anything at all."""
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS)
-
-
-@dataclass
-class FaultCounts:
-    """Tally of every fault the injector actually fired."""
-
-    transient_errors: int = 0
-    timeouts: int = 0
-    stale_snapshots: int = 0
-    dropped_releases: int = 0
-    corrupted_vectors: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.transient_errors
-            + self.timeouts
-            + self.stale_snapshots
-            + self.dropped_releases
-            + self.corrupted_vectors
-        )
+        fields = (*_GSP_RATES.values(), *_RELEASE_RATES.values())
+        return any(getattr(self, name) > 0 for name in fields)
 
 
 @dataclass
@@ -116,7 +101,9 @@ class FaultInjector:
     All randomness comes from the single generator handed in at
     construction, and the simulation is single-threaded, so the sequence
     of fault decisions — and therefore the whole session outcome — is a
-    pure function of ``(seed, plan)``.
+    pure function of ``(seed, plan)``.  :attr:`counts` tallies the
+    fired faults by kind (``"transient"``, ``"timeout"``, ``"stale"``,
+    ``"drop"``, ``"corrupt"``).
     """
 
     plan: FaultPlan
@@ -148,34 +135,26 @@ class FaultInjector:
         Exactly one uniform is drawn regardless of the rates, so changing
         a rate never desynchronises an otherwise-identical run.
         """
-        u = float(self.rng.random())
-        plan = self.plan
-        if u < plan.transient_error_rate:
-            self.counts.transient_errors += 1
+        fault = pick(float(self.rng.random()), self.plan, _GSP_RATES)
+        if fault is None:
+            return None
+        self.counts.count(fault)
+        if fault == "transient":
             raise TransientError("injected transient GSP failure")
-        if u < plan.transient_error_rate + plan.timeout_rate:
-            self.counts.timeouts += 1
+        if fault == "timeout":
             if self.clock is not None:
-                self.clock.sleep(plan.timeout_s)
+                self.clock.sleep(self.plan.timeout_s)
             raise TimeoutExceeded(
-                f"injected GSP timeout after {plan.timeout_s:.3f} s"
+                f"injected GSP timeout after {self.plan.timeout_s:.3f} s"
             )
-        if u < plan.transient_error_rate + plan.timeout_rate + plan.stale_snapshot_rate:
-            self.counts.stale_snapshots += 1
-            return "stale"
-        return None
+        return fault
 
     def roll_release_fault(self) -> "str | None":
         """Decide the fate of one release in transit: None/"drop"/"corrupt"."""
-        u = float(self.rng.random())
-        plan = self.plan
-        if u < plan.drop_release_rate:
-            self.counts.dropped_releases += 1
-            return "drop"
-        if u < plan.drop_release_rate + plan.corrupt_vector_rate:
-            self.counts.corrupted_vectors += 1
-            return "corrupt"
-        return None
+        fault = pick(float(self.rng.random()), self.plan, _RELEASE_RATES)
+        if fault is not None:
+            self.counts.count(fault)
+        return fault
 
     def corrupt(self, vector: np.ndarray) -> np.ndarray:
         """Deterministically damage one frequency vector.

@@ -41,6 +41,7 @@ from repro.core.errors import (
     MidCommitKillFault,
     WorkerCrashFault,
 )
+from repro.core.events import EventLog
 from repro.core.rng import derive_rng
 from repro.defense.base import Defense
 from repro.defense.laplace_release import LaplaceHistogramDefense
@@ -50,7 +51,6 @@ from repro.poi.database import POIDatabase
 from repro.serve.config import ServeConfig
 from repro.serve.faults import ServeFaultInjector
 from repro.serve.jobs import Job, JobStore
-from repro.serve.journal import ServeJournal
 from repro.serve.ledger import BudgetLedger
 from repro.serve.shedding import LoadShedder, ShedLevel
 
@@ -115,7 +115,7 @@ class MicroBatchDispatcher:
         specs: dict[str, DefenseSpec],
         config: ServeConfig,
         clock: Clock,
-        journal: ServeJournal,
+        journal: EventLog,
         seed: int,
         injector: "ServeFaultInjector | None" = None,
     ) -> None:

@@ -1,20 +1,22 @@
 """Seeded fault injection for the serve dispatcher (chaos harness).
 
-In the style of the PR 1 LBS faults, PR 3 worker faults, and PR 5 file
-corruptor: a :class:`ServeFaultPlan` declares rates, a
-:class:`ServeFaultInjector` draws every decision from one seeded stream,
-and the same ``(seed, plan)`` always produces the same fault timeline.
+A :class:`ServeFaultPlan` declares rates, a :class:`ServeFaultInjector`
+draws every decision from one seeded stream in batch-arrival order, and
+the same ``(seed, plan)`` always produces the same fault timeline.  Rate
+checks, the one-draw pick and the tally come from
+:mod:`repro.core.faults`.
 
-Fault classes and where they strike:
+Fault kinds (as tallied in :attr:`ServeFaultInjector.counts`) and where
+they strike:
 
-* ``worker_crash`` — the batch attempt raises
+* ``crash`` — the batch attempt raises
   :class:`~repro.core.errors.WorkerCrashFault`; affected jobs are
   retried on a later batch (bounded by ``max_attempts``) and the crash
   feeds the circuit breaker.
-* ``worker_hang`` — the worker stalls for ``hang_s`` before touching
+* ``hang`` — the worker stalls for ``hang_s`` before touching
   the batch, long enough (by test construction) that deadlines expire
   and the batch is shed.
-* ``slow_response`` — a ``slow_s`` stall that completes anyway, driving
+* ``slow`` — a ``slow_s`` stall that completes anyway, driving
   the latency EWMA and thereby the shed ladder.
 * ``mid_commit_kill`` — raised *after* the ledger spend is durable but
   *before* jobs complete: the worst crash window.  Jobs fail without a
@@ -33,15 +35,17 @@ import numpy as np
 
 from repro.core.clock import Clock
 from repro.core.errors import ConfigError, MidCommitKillFault, WorkerCrashFault
+from repro.core.faults import FaultCounts, check_rates, pick
 
-__all__ = ["ServeFaultCounts", "ServeFaultInjector", "ServeFaultPlan"]
+__all__ = ["ServeFaultInjector", "ServeFaultPlan"]
 
-_RATE_FIELDS = (
-    "worker_crash_rate",
-    "worker_hang_rate",
-    "slow_response_rate",
-    "mid_commit_kill_rate",
-)
+#: One uniform per batch attempt picks at most one of these; fault kind
+#: -> rate field of :class:`ServeFaultPlan`.
+_BATCH_RATES = {
+    "crash": "worker_crash_rate",
+    "hang": "worker_hang_rate",
+    "slow": "slow_response_rate",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,40 +66,19 @@ class ServeFaultPlan:
     slow_s: float = 0.02
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.worker_crash_rate + self.worker_hang_rate + self.slow_response_rate > 1.0:
-            raise ConfigError("batch fault rates (crash + hang + slow) exceed 1")
+        check_rates(
+            self,
+            _BATCH_RATES.values(),
+            exceeds="batch fault rates (crash + hang + slow) exceed 1",
+        )
+        check_rates(self, ("mid_commit_kill_rate",))
         if self.hang_s < 0 or self.slow_s < 0:
             raise ConfigError("hang_s and slow_s must be non-negative")
 
     @property
     def any_faults(self) -> bool:
-        return any(getattr(self, name) > 0 for name in _RATE_FIELDS)
-
-
-@dataclass
-class ServeFaultCounts:
-    """Tally of every fault the injector actually fired."""
-
-    crashes: int = 0
-    hangs: int = 0
-    slow_responses: int = 0
-    mid_commit_kills: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.crashes + self.hangs + self.slow_responses + self.mid_commit_kills
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "slow_responses": self.slow_responses,
-            "mid_commit_kills": self.mid_commit_kills,
-        }
+        fields = (*_BATCH_RATES.values(), "mid_commit_kill_rate")
+        return any(getattr(self, name) > 0 for name in fields)
 
 
 class ServeFaultInjector:
@@ -106,6 +89,8 @@ class ServeFaultInjector:
     both are cheap no-ops under a fault-free plan.  Decisions are drawn
     from the single generator handed in, so a ``(seed, plan)`` pair
     fully determines the fault timeline for a given request order.
+    :attr:`counts` tallies the fired faults by kind: ``"crash"``,
+    ``"hang"``, ``"slow"`` and ``"mid_commit_kill"``.
     """
 
     def __init__(
@@ -114,35 +99,27 @@ class ServeFaultInjector:
         self._plan = plan
         self._rng = rng
         self._clock = clock
-        self.counts = ServeFaultCounts()
+        self.counts = FaultCounts(dict.fromkeys([*_BATCH_RATES, "mid_commit_kill"], 0))
 
     def before_batch(self) -> None:
         """Maybe crash, hang, or slow down the imminent batch attempt."""
         plan = self._plan
-        if not (
-            plan.worker_crash_rate or plan.worker_hang_rate or plan.slow_response_rate
-        ):
+        if not any(getattr(plan, name) for name in _BATCH_RATES.values()):
+            return  # no draw at all: a fault-free group leaves the stream alone
+        fault = pick(float(self._rng.random()), plan, _BATCH_RATES)
+        if fault is None:
             return
-        draw = float(self._rng.random())
-        if draw < plan.worker_crash_rate:
-            self.counts.crashes += 1
+        self.counts.count(fault)
+        if fault == "crash":
             raise WorkerCrashFault("injected worker crash before batch compute")
-        draw -= plan.worker_crash_rate
-        if draw < plan.worker_hang_rate:
-            self.counts.hangs += 1
-            self._clock.sleep(plan.hang_s)
-            return
-        draw -= plan.worker_hang_rate
-        if draw < plan.slow_response_rate:
-            self.counts.slow_responses += 1
-            self._clock.sleep(plan.slow_s)
+        self._clock.sleep(plan.hang_s if fault == "hang" else plan.slow_s)
 
     def mid_commit(self) -> None:
         """Maybe kill the worker after the ledger commit, before completion."""
         if self._plan.mid_commit_kill_rate <= 0:
             return
         if float(self._rng.random()) < self._plan.mid_commit_kill_rate:
-            self.counts.mid_commit_kills += 1
+            self.counts.count("mid_commit_kill")
             raise MidCommitKillFault(
                 "injected kill between ledger commit and job completion"
             )

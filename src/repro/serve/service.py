@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.core.clock import Clock, SystemClock
 from repro.core.errors import ConfigError
+from repro.core.events import EventLog
 from repro.core.rng import derive_rng
 from repro.defense.laplace_release import LaplaceHistogramDefense
 from repro.defense.sanitization import Sanitizer
@@ -40,7 +41,6 @@ from repro.serve.config import ServeConfig
 from repro.serve.dispatcher import DefenseSpec, MicroBatchDispatcher
 from repro.serve.faults import ServeFaultInjector, ServeFaultPlan
 from repro.serve.jobs import Job, JobStore, ReleaseRequest
-from repro.serve.journal import ServeJournal
 from repro.serve.ledger import BudgetLedger
 from repro.serve.shedding import LoadShedder, ShedLevel
 
@@ -121,7 +121,7 @@ class ReleaseService:
             compact_every=self.config.ledger_compact_every,
             segment_max_bytes=self.config.wal_segment_max_bytes,
         )
-        self.journal = ServeJournal(
+        self.journal = EventLog(
             journal_path, self._clock, max_bytes=self.config.journal_max_bytes
         )
         self.store = JobStore(self._clock)
@@ -251,9 +251,9 @@ class ReleaseService:
         return self.dispatcher.drain(timeout_s)
 
     def status(self) -> dict[str, Any]:
-        """The ``/v1/status`` document: fates, ladder, breaker, ledger."""
+        """The ``/v1/status`` document: fates, ladder, breaker, ledger, journal."""
         depth = self._queue.qsize()
-        counts = self.injector.counts.as_dict() if self.injector is not None else None
+        counts = dict(self.injector.counts) if self.injector is not None else None
         return {
             "fates": self.store.counters.as_dict(),
             "ladder": self.shedder.snapshot(depth),
@@ -262,5 +262,9 @@ class ReleaseService:
             "n_batches": self.dispatcher.n_batches,
             "n_requeues": self.dispatcher.n_requeues,
             "faults": counts,
+            "journal": {
+                "enabled": self.journal.enabled,
+                "disabled_reason": self.journal.disabled_reason,
+            },
             "defenses": sorted(self.specs),
         }

@@ -7,8 +7,9 @@ ladder degrades in two observable steps, driven by three signals:
 * **queue depth** relative to the admission queue's capacity,
 * a worker-latency **EWMA** (slow workers mean the queue is about to
   grow even if it has not yet),
-* the worker **circuit breaker** from PR 1 — crashing workers pin the
-  ladder to the refuse rung until a half-open probe succeeds.
+* the worker **circuit breaker** (:mod:`repro.core.breaker`) — crashing
+  workers pin the ladder to the refuse rung until a half-open probe
+  succeeds.
 
 Rung semantics (enforced by the dispatcher and the admission path):
 
@@ -30,8 +31,8 @@ import threading
 from enum import IntEnum
 from typing import Any
 
+from repro.core.breaker import CircuitBreaker
 from repro.core.clock import Clock
-from repro.lbs.resilience import CircuitBreaker
 from repro.serve.config import ServeConfig
 
 __all__ = ["Ewma", "LoadShedder", "ShedLevel"]

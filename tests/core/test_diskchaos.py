@@ -13,21 +13,20 @@ would produce.  The contract under any mix:
 * acknowledged work survives: a spend that returned normally is in the
   reopened ledger, a cache entry that ``put`` returned for round-trips.
 
-Seeds come from ``POIAGG_DISKFAULT_SEEDS`` (space-separated; default
-``"0 1"``) so CI can widen the sweep without code changes, mirroring
-the other chaos suites' ``POIAGG_*_CHAOS_SEEDS``.
+Seeds come from ``POIAGG_CHAOS_SEEDS`` (space-separated; default
+``"0 1"``), shared by every chaos suite, so CI can widen the sweep
+without code changes.
 """
-
-import os
 
 import pytest
 
 from repro.core.errors import DiskPressureError, ReproError
+from repro.core.faults import seeds_from_env
 from repro.core.vfs import DiskFaultPlan, FaultyVFS, install_vfs
 from repro.dp.mechanisms import PrivacyParams
 from repro.serve.ledger import BudgetLedger
 
-SEEDS = [int(s) for s in os.environ.get("POIAGG_DISKFAULT_SEEDS", "0 1").split()]
+SEEDS = seeds_from_env(default=(0, 1))
 
 USERS = ("alice", "bob", "carol")
 

@@ -168,7 +168,7 @@ def test_lie_at_fsync_reports_success_without_durability(tmp_path):
     assert target.read_text() == "new"
     vfs.simulate_crash()
     assert not target.exists()  # ...but nothing was durable
-    assert vfs.counts.by_kind.get("fsync_lie") == 1
+    assert vfs.counts["fsync_lie"] == 1
 
 
 def test_op_log_enumerates_the_commit_protocol(tmp_path):

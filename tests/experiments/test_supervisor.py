@@ -5,18 +5,19 @@ workers killed mid-shard, workers hung past the timeout, deterministic
 retry success on attempt 2, serial fallback after persistent crashes,
 and bit-identity of resumed-vs-uninterrupted sharded runs.
 
-``POIAGG_CHAOS_SEEDS`` (space-separated ints) widens the seeded chaos
-sweep; CI runs it with several seeds.
+``POIAGG_CHAOS_SEEDS`` (space-separated ints, read by
+:func:`repro.core.faults.seeds_from_env`) widens the seeded chaos sweep;
+CI runs it with several seeds.
 """
 
 import json
 import multiprocessing
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.core.errors import ConfigError, ShardError
+from repro.core.faults import seeds_from_env
 from repro.experiments.fig4_geoind import run_fig4
 from repro.experiments.parallel import run_sharded
 from repro.experiments.scale import ExperimentScale
@@ -47,7 +48,7 @@ SHARDS = ("bj_random", "nyc_random")
 #: Fast polling so fault-path tests spend milliseconds, not heartbeats.
 FAST = dict(poll_interval_s=0.01, heartbeat_interval_s=0.05)
 
-CHAOS_SEEDS = [int(s) for s in os.environ.get("POIAGG_CHAOS_SEEDS", "0").split()]
+CHAOS_SEEDS = seeds_from_env(default=(0,))
 
 
 @pytest.fixture(scope="module")

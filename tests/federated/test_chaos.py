@@ -12,16 +12,15 @@ hold:
   flight;
 * one poisoned client displaces the release by at most the clip bound.
 
-Seeds come from ``POIAGG_FEDERATED_CHAOS_SEEDS`` (space-separated;
-default ``"0 1 2"``), mirroring the ingest/supervisor/serve chaos
-suites — CI's chaos job widens the sweep without changing the test body.
+Seeds come from ``POIAGG_CHAOS_SEEDS`` (space-separated; default
+``"0 1 2"``), shared by every chaos suite — CI's chaos job widens the
+sweep without changing the test body.
 """
-
-import os
 
 import numpy as np
 import pytest
 
+from repro.core.faults import seeds_from_env
 from repro.federated import (
     ClientFaultPlan,
     FederatedConfig,
@@ -29,10 +28,7 @@ from repro.federated import (
     run_campaign,
 )
 
-SEEDS = [
-    int(s)
-    for s in os.environ.get("POIAGG_FEDERATED_CHAOS_SEEDS", "0 1 2").split()
-]
+SEEDS = seeds_from_env(default=(0, 1, 2))
 
 CONFIG = FederatedConfig(
     n_clients=120,

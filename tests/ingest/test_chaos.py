@@ -7,17 +7,17 @@ quarantined ones included — or (b) raises a *typed* ``IngestError``
 locating the fault.  Never a raw parser exception, a silent drop, or a
 partial write.
 
-Seeds come from ``POIAGG_INGEST_CHAOS_SEEDS`` (space-separated; default
-``"0"``) so CI can widen the sweep without code changes, mirroring the
-supervisor chaos suite's ``POIAGG_CHAOS_SEEDS``.
+Seeds come from ``POIAGG_CHAOS_SEEDS`` (space-separated; default
+``"0"``), shared by every chaos suite, so CI can widen the sweep without
+code changes.
 """
 
-import os
 import shutil
 
 import pytest
 
 from repro.core.errors import IngestError
+from repro.core.faults import seeds_from_env
 from repro.ingest.faults import CORRUPTION_CLASSES, CorruptionPlan, FileCorruptor
 from repro.ingest.loaders import (
     QUARANTINE_SUFFIX,
@@ -27,7 +27,7 @@ from repro.ingest.loaders import (
 )
 from repro.ingest.report import POLICIES
 
-SEEDS = [int(s) for s in os.environ.get("POIAGG_INGEST_CHAOS_SEEDS", "0").split()]
+SEEDS = seeds_from_env(default=(0,))
 
 #: Byte-level classes apply to any format; row/sidecar classes assume a
 #: CSV shape, so the XML and sidecar-less formats get subsets.

@@ -53,7 +53,7 @@ class TestFaultyGeoServiceProvider:
         gsp = injector.wrap_gsp(GeoServiceProvider(tiny_db))
         with pytest.raises(TransientError):
             gsp.snapshot()
-        assert injector.counts.transient_errors == 1
+        assert injector.counts["transient"] == 1
 
     def test_timeout_burns_simulated_time(self, tiny_db):
         clock = SimulatedClock()
@@ -64,13 +64,13 @@ class TestFaultyGeoServiceProvider:
         with pytest.raises(TimeoutExceeded):
             gsp.handle(GeoQuery(1, Point(500, 500), 60.0, 0.0))
         assert clock.now() == 2.5
-        assert injector.counts.timeouts == 1
+        assert injector.counts["timeout"] == 1
 
     def test_stale_snapshot_served(self, tiny_db, db):
         injector = FaultInjector(FaultPlan(stale_snapshot_rate=1.0), derive_rng(3, "f"))
         gsp = injector.wrap_gsp(GeoServiceProvider(db), stale_database=tiny_db)
         assert gsp.snapshot() is tiny_db
-        assert injector.counts.stale_snapshots == 1
+        assert injector.counts["stale"] == 1
         # Without a stale copy the fault degenerates to a fresh snapshot.
         fresh = injector.wrap_gsp(GeoServiceProvider(db))
         assert fresh.snapshot() is db
@@ -92,7 +92,7 @@ class TestFaultyPOIService:
         service = injector.wrap_service(inner)
         assert service.recommend(_release(tiny_db)) is None
         assert service.observed_releases == ()
-        assert injector.counts.dropped_releases == 1
+        assert injector.counts["drop"] == 1
 
     def test_corruption_is_rejected_by_validation(self, tiny_db):
         inner = POIService(curious=True, n_types=tiny_db.n_types)
@@ -105,7 +105,7 @@ class TestFaultyPOIService:
             except ReleaseValidationError:
                 n_rejected += 1
         assert n_rejected == 8
-        assert injector.counts.corrupted_vectors == 8
+        assert injector.counts["corrupt"] == 8
         assert inner.observed_releases == ()  # corruption never reaches the log
 
     def test_healthy_release_served_and_logged(self, tiny_db):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.breaker import CircuitBreaker
 from repro.core.clock import SimulatedClock
 from repro.core.errors import CircuitOpenError, ConfigError, TransientError
 from repro.core.rng import derive_rng
@@ -10,7 +11,6 @@ from repro.geo.point import Point
 from repro.lbs.entities import GeoServiceProvider, MobileUser
 from repro.lbs.faults import FaultInjector, FaultPlan
 from repro.lbs.resilience import (
-    CircuitBreaker,
     ResilienceConfig,
     RetryPolicy,
     UserSessionStats,
@@ -212,7 +212,7 @@ class TestDegradationLadder:
         assert user.release_at(Point(500, 500), 100.0, 0.0) is None
         # One 5 s sleep fits the 6 s budget; a second would bust it.
         assert user.stats.n_retries == 1
-        assert injector.counts.transient_errors == 2
+        assert injector.counts["transient"] == 2
 
     def test_breaker_short_circuits_after_streak(self, tiny_db):
         clock = SimulatedClock()
@@ -230,7 +230,7 @@ class TestDegradationLadder:
         assert breaker.n_opens == 1
         assert user.stats.n_short_circuits > 0
         # Once open, the GSP stops being hammered entirely.
-        assert injector.counts.transient_errors <= 4
+        assert injector.counts["transient"] <= 4
 
     def test_no_policy_means_perfect_world_errors_propagate(self, tiny_db):
         injector = FaultInjector(FaultPlan(transient_error_rate=1.0), derive_rng(8, "p"))

@@ -12,24 +12,24 @@ the invariants:
 * under queue-flood pressure, work was actually rejected or shed rather
   than buffered without bound.
 
-Seeds come from ``POIAGG_SERVE_CHAOS_SEEDS`` (space-separated; default
-``0``), mirroring the ingest and supervisor chaos suites — CI's chaos
-job widens the sweep without changing the test body.
+Seeds come from ``POIAGG_CHAOS_SEEDS`` (space-separated; default
+``0``), shared by every chaos suite — CI's chaos job widens the sweep
+without changing the test body.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
+from repro.core.faults import seeds_from_env
 from repro.dp.mechanisms import PrivacyParams
 from repro.serve import ReleaseService, ServeConfig
 from repro.serve.faults import ServeFaultPlan
 from repro.serve.loadgen import LoadProfile, generate_requests
 
-SEEDS = [int(s) for s in os.environ.get("POIAGG_SERVE_CHAOS_SEEDS", "0").split()]
+SEEDS = seeds_from_env(default=(0,))
 
 PLANS = {
     "crashes": ServeFaultPlan(worker_crash_rate=0.3),

@@ -121,3 +121,27 @@ def test_enospc_error_is_typed_all_the_way_down(db, tmp_path):
                 raise AssertionError("full disk accepted a spend")
     finally:
         service.ledger.close()
+
+
+def test_refused_journal_open_starts_the_service_with_its_journal_off(db, tmp_path):
+    """A disk that refuses the journal costs the journal, not the service."""
+    refusing = FaultyVFS(DiskFaultPlan(enospc_rate=1.0, path_substring="serve.jsonl"))
+    with install_vfs(refusing):
+        service = ReleaseService(
+            db,
+            PrivacyParams(50.0, 0.0),
+            config=ServeConfig(n_workers=1, batch_wait_s=0.002, poll_interval_s=0.01),
+            ledger_dir=str(tmp_path / "ledger"),
+            journal_path=str(tmp_path / "serve.jsonl"),
+            seed=11,
+        )
+        with service:
+            outcome = service.submit(request())
+            assert outcome.status == "queued"
+            assert service.drain(10.0)
+            assert service.job(outcome.job.job_id).fate == "completed"
+            journal = service.status()["journal"]
+    assert journal["enabled"] is False
+    assert journal["disabled_reason"].startswith("journal open refused")
+    assert str(errno.ENOSPC) in journal["disabled_reason"]
+    assert service.ledger.stats()["n_granted"] == 1

@@ -170,7 +170,7 @@ def test_worker_crashes_exhaust_retries_into_failed(db):
     assert job.fate == "failed"
     assert job.attempts == 2
     assert "attempts exhausted" in job.error
-    assert service.injector.counts.crashes >= 2
+    assert service.injector.counts["crash"] >= 2
     assert service.store.counters.consistent()
 
 

@@ -264,6 +264,43 @@ class TestServeAndLoadgenCommands:
         thread.join(timeout=30)
         assert rc == [0]  # the serve command shut down cleanly
 
+    def test_serve_starts_with_a_refused_journal_and_says_why(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import threading
+
+        from repro.serve import httpapi
+
+        started = threading.Event()
+        servers: list[object] = []
+        real_make_server = httpapi.make_server
+
+        def spy_make_server(service, host="127.0.0.1", port=0):
+            server = real_make_server(service, host=host, port=port)
+            servers.append(server)
+            started.set()
+            return server
+
+        monkeypatch.setattr(httpapi, "make_server", spy_make_server)
+        (tmp_path / "taken").write_text("a file where the journal's directory should be")
+        journal = tmp_path / "taken" / "serve.jsonl"
+        rc: list[int] = []
+        thread = threading.Thread(
+            target=lambda: rc.append(
+                main(["serve", "--port", "0", "--journal", str(journal)])
+            ),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            assert started.wait(timeout=30), "server never came up"
+        finally:
+            if servers:
+                servers[0].shutdown()
+        thread.join(timeout=30)
+        assert rc == [0]
+        assert "journal disabled: journal open refused" in capsys.readouterr().err
+
 
 class TestCrashsweepCommand:
     def test_parse_defaults(self):
