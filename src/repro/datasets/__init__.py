@@ -2,11 +2,6 @@
 
 from repro.datasets.foursquare import CheckinConfig, checkin_locations, synthesize_checkins
 from repro.datasets.random_locations import random_locations
-from repro.datasets.roads import (
-    RoadFleetConfig,
-    RoadNetwork,
-    synthesize_road_trajectories,
-)
 from repro.datasets.targets import DATASET_NAMES, dataset_city, sample_targets
 from repro.datasets.tdrive import (
     TaxiFleetConfig,
@@ -35,9 +30,6 @@ __all__ = [
     "synthesize_checkins",
     "checkin_locations",
     "random_locations",
-    "RoadNetwork",
-    "RoadFleetConfig",
-    "synthesize_road_trajectories",
     "DATASET_NAMES",
     "sample_targets",
     "dataset_city",

@@ -88,6 +88,8 @@ def checkin_locations(
 
     This is the paper's "NYC: Foursquare" target sampler.
     """
+    if n < 0:
+        raise DatasetError(f"n must be non-negative, got {n}")
     gen = as_generator(rng)
     users = synthesize_checkins(db, config, gen)
     pool = [p.location for u in users for p in u.points]

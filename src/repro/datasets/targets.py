@@ -49,6 +49,8 @@ def sample_targets(
     """
     if name not in DATASET_NAMES:
         raise DatasetError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    if n < 0:
+        raise DatasetError(f"n must be non-negative, got {n}")
     city = dataset_city(name, seed)
     rng = derive_rng(seed, "targets", name, n, radius)
     interior = city.interior(radius)

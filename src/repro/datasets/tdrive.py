@@ -67,44 +67,81 @@ def _sample_hotspots(db: POIDatabase, n: int, jitter_m: float, rng: np.random.Ge
     return pts
 
 
+def _walk_fleet(
+    db: POIDatabase, config: TaxiFleetConfig, gen: np.random.Generator
+) -> tuple[list[float], list[float], list[float], list[int]]:
+    """Walk every taxi of the fleet in Python floats.
+
+    Returns the samples as flat ``x``, ``y`` and ``t`` lists, and the
+    ``n_taxis + 1`` offsets that delimit each taxi's run of samples.
+
+    The output is pinned bit for bit, generator state included, so two
+    things stay as they are: the leg length is ``np.hypot`` (``math.hypot``
+    rounds differently in the last place), and each sample draws its own
+    ``gen.normal(0.0, gps_noise_m, 2)`` between the scalar uniforms (the
+    ziggurat sampler consumes a variable number of generator words, so
+    normals cannot be drawn ahead).
+    """
+    random, normal = gen.random, gen.normal
+
+    def uniform(lo: float, hi: float) -> float:
+        # NumPy's scalar gen.uniform computes exactly this; calling it costs 3x more.
+        return lo + (hi - lo) * random()
+
+    xs: list[float] = []
+    ys: list[float] = []
+    ts: list[float] = []
+    offsets: list[int] = []
+    for _ in range(config.n_taxis):
+        offsets.append(len(ts))
+        stops = _sample_hotspots(db, config.trips_per_taxi + 1, config.hotspot_jitter_m, gen)
+        (px, py), *legs = stops.tolist()
+        t = uniform(0.0, _WEEK_S * 0.5)
+        xs.append(px)
+        ys.append(py)
+        ts.append(t)
+        for dx, dy in legs:
+            speed = uniform(config.speed_min_mps, config.speed_max_mps)
+            while True:
+                step_s = uniform(config.sample_interval_min_s, config.sample_interval_max_s)
+                lx, ly = dx - px, dy - py
+                dist = float(np.hypot(lx, ly))
+                travel = speed * step_s
+                t += step_s
+                arrived = travel >= dist
+                if arrived:
+                    px, py = dx, dy
+                else:
+                    px, py = px + lx / dist * travel, py + ly / dist * travel
+                nx, ny = normal(0.0, config.gps_noise_m, 2).tolist()
+                xs.append(px + nx)
+                ys.append(py + ny)
+                ts.append(t)
+                if arrived:
+                    break
+            # Dwell at the stop (passenger exchange) before the next trip.
+            t += uniform(60.0, 900.0)
+    offsets.append(len(ts))
+    return xs, ys, ts, offsets
+
+
 def synthesize_taxi_trajectories(
     db: POIDatabase,
     config: TaxiFleetConfig = TaxiFleetConfig(),
     rng: RngLike = None,
 ) -> list[Trajectory]:
     """Generate one week of trajectories for the configured fleet."""
-    gen = as_generator(rng)
-    trajectories: list[Trajectory] = []
-    for taxi in range(config.n_taxis):
-        n_stops = config.trips_per_taxi + 1
-        stops = _sample_hotspots(db, n_stops, config.hotspot_jitter_m, gen)
-        t = float(gen.uniform(0.0, _WEEK_S * 0.5))
-        points: list[TrajectoryPoint] = []
-        pos = stops[0]
-        points.append(TrajectoryPoint(Point(float(pos[0]), float(pos[1])), t))
-        for stop in stops[1:]:
-            speed = float(gen.uniform(config.speed_min_mps, config.speed_max_mps))
-            dest = stop
-            while True:
-                step_s = float(
-                    gen.uniform(config.sample_interval_min_s, config.sample_interval_max_s)
-                )
-                leg = dest - pos
-                dist = float(np.hypot(leg[0], leg[1]))
-                travel = speed * step_s
-                t += step_s
-                if travel >= dist:
-                    pos = dest
-                else:
-                    pos = pos + leg / dist * travel
-                noisy = pos + gen.normal(0.0, config.gps_noise_m, size=2)
-                points.append(TrajectoryPoint(Point(float(noisy[0]), float(noisy[1])), t))
-                if travel >= dist:
-                    break
-            # Dwell at the stop (passenger exchange) before the next trip.
-            t += float(gen.uniform(60.0, 900.0))
-        trajectories.append(Trajectory(user_id=taxi, points=tuple(points)))
-    return trajectories
+    xs, ys, ts, offsets = _walk_fleet(db, config, as_generator(rng))
+    return [
+        Trajectory(
+            user_id=taxi,
+            points=tuple(
+                TrajectoryPoint(Point(x, y), t)
+                for x, y, t in zip(xs[lo:hi], ys[lo:hi], ts[lo:hi])
+            ),
+        )
+        for taxi, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+    ]
 
 
 def taxi_locations(
@@ -118,10 +155,13 @@ def taxi_locations(
     This is the paper's "Beijing: T-drive" target sampler: pick random
     trajectory points of the fleet.
     """
+    if n < 0:
+        raise DatasetError(f"n must be non-negative, got {n}")
     gen = as_generator(rng)
-    trajectories = synthesize_taxi_trajectories(db, config, gen)
-    pool = [p.location for traj in trajectories for p in traj.points]
-    if not pool:
-        raise DatasetError("trajectory synthesis produced no points")
-    picks = gen.integers(0, len(pool), size=n)
-    return [pool[int(i)] for i in picks]
+    xs, ys, ts, offsets = _walk_fleet(db, config, gen)
+    # Trajectory's time-order invariant, checked without building the objects.
+    for taxi, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        if any(b < a for a, b in zip(ts[lo:hi], ts[lo + 1 : hi])):
+            raise DatasetError(f"trajectory {taxi} is not time-ordered")
+    picks = gen.integers(0, len(xs), size=n)
+    return [Point(xs[i], ys[i]) for i in picks.tolist()]

@@ -10,7 +10,6 @@ from repro.geo.distance import (
     pairwise_euclidean,
 )
 from repro.geo.grid_index import GridIndex
-from repro.geo.kdtree import KDTree
 from repro.geo.point import EARTH_RADIUS_M, GeoPoint, Point
 from repro.geo.projection import LocalProjection
 from repro.geo.quadtree import QuadNode, QuadTree
@@ -27,7 +26,6 @@ __all__ = [
     "lens_area",
     "DiskIntersection",
     "GridIndex",
-    "KDTree",
     "QuadTree",
     "QuadNode",
     "euclidean",

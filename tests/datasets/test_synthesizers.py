@@ -5,8 +5,17 @@ import pytest
 
 from repro.core.errors import DatasetError
 from repro.datasets.foursquare import CheckinConfig, checkin_locations, synthesize_checkins
-from repro.datasets.tdrive import TaxiFleetConfig, synthesize_taxi_trajectories, taxi_locations
+from repro.datasets.tdrive import (
+    _WEEK_S,
+    TaxiFleetConfig,
+    _sample_hotspots,
+    synthesize_taxi_trajectories,
+    taxi_locations,
+)
+from repro.datasets.trajectory import Trajectory, TrajectoryPoint
 from repro.geo.distance import euclidean
+from repro.geo.point import Point
+from repro.poi.cities import DEFAULT_SEED, beijing
 
 
 class TestTaxiSynthesis:
@@ -51,6 +60,111 @@ class TestTaxiSynthesis:
         assert len(locs) == 50
 
 
+def _reference_fleet(db, config, gen):
+    """The per-step fleet loop over NumPy vectors, which ``_walk_fleet`` must match."""
+    trajectories: list[Trajectory] = []
+    for taxi in range(config.n_taxis):
+        n_stops = config.trips_per_taxi + 1
+        stops = _sample_hotspots(db, n_stops, config.hotspot_jitter_m, gen)
+        t = float(gen.uniform(0.0, _WEEK_S * 0.5))
+        points: list[TrajectoryPoint] = []
+        pos = stops[0]
+        points.append(TrajectoryPoint(Point(float(pos[0]), float(pos[1])), t))
+        for stop in stops[1:]:
+            speed = float(gen.uniform(config.speed_min_mps, config.speed_max_mps))
+            dest = stop
+            while True:
+                step_s = float(
+                    gen.uniform(config.sample_interval_min_s, config.sample_interval_max_s)
+                )
+                leg = dest - pos
+                dist = float(np.hypot(leg[0], leg[1]))
+                travel = speed * step_s
+                t += step_s
+                if travel >= dist:
+                    pos = dest
+                else:
+                    pos = pos + leg / dist * travel
+                noisy = pos + gen.normal(0.0, config.gps_noise_m, size=2)
+                points.append(TrajectoryPoint(Point(float(noisy[0]), float(noisy[1])), t))
+                if travel >= dist:
+                    break
+            # Dwell at the stop (passenger exchange) before the next trip.
+            t += float(gen.uniform(60.0, 900.0))
+        trajectories.append(Trajectory(user_id=taxi, points=tuple(points)))
+    return trajectories
+
+
+def _reference_taxi_locations(db, n, config, gen):
+    trajectories = _reference_fleet(db, config, gen)
+    pool = [p.location for traj in trajectories for p in traj.points]
+    picks = gen.integers(0, len(pool), size=n)
+    return [pool[int(i)] for i in picks]
+
+
+def _columns(trajectories):
+    points = [p for traj in trajectories for p in traj.points]
+    return (
+        [p.location.x for p in points],
+        [p.location.y for p in points],
+        [p.timestamp for p in points],
+    )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_bits(got, expected):
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+WIDE_FLEET = TaxiFleetConfig(
+    n_taxis=30,
+    trips_per_taxi=3,
+    gps_noise_m=0.0,
+    speed_min_mps=1.0,
+    speed_max_mps=40.0,
+    sample_interval_min_s=10.0,
+    sample_interval_max_s=900.0,
+)
+
+
+@pytest.fixture(params=["db", "beijing"])
+def fleet_db(request):
+    if request.param == "db":
+        return request.getfixturevalue("db")
+    return beijing(DEFAULT_SEED).database
+
+
+@pytest.mark.parametrize("config", [TaxiFleetConfig(), WIDE_FLEET], ids=["default", "wide"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+class TestFleetMatchesReference:
+    """The scalar walk is bit-identical to the per-step reference loop.
+
+    Comparing against the loop rather than a pinned digest keeps the
+    test valid whatever rounding the platform's ``hypot`` does.
+    """
+
+    def test_trajectories(self, fleet_db, config, seed):
+        ref_gen, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_fleet(fleet_db, config, ref_gen)
+        got = synthesize_taxi_trajectories(fleet_db, config, gen)
+        assert [t.user_id for t in got] == [t.user_id for t in expected]
+        assert [len(t) for t in got] == [len(t) for t in expected]
+        for got_column, expected_column in zip(_columns(got), _columns(expected)):
+            _assert_same_bits(got_column, expected_column)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_taxi_locations(self, fleet_db, config, seed):
+        ref_gen, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_taxi_locations(fleet_db, 480, config, ref_gen)
+        got = taxi_locations(fleet_db, 480, config, gen)
+        _assert_same_bits([p.x for p in got], [p.x for p in expected])
+        _assert_same_bits([p.y for p in got], [p.y for p in expected])
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 class TestCheckinSynthesis:
     def test_counts(self, db):
         users = synthesize_checkins(db, CheckinConfig(n_users=4, checkins_per_user=10), rng=1)
@@ -60,12 +174,9 @@ class TestCheckinSynthesis:
     def test_checkins_near_pois(self, db):
         config = CheckinConfig(n_users=5, checkins_per_user=20, position_jitter_m=25.0)
         users = synthesize_checkins(db, config, rng=2)
-        from repro.geo.kdtree import KDTree
-
-        tree = KDTree(db.positions)
-        dists = [
-            tree.nearest(p.location)[1] for u in users for p in u.points
-        ]
+        xy = np.array([p.location.as_tuple() for u in users for p in u.points])
+        pois = db.positions
+        dists = np.hypot(xy[:, None, 0] - pois[:, 0], xy[:, None, 1] - pois[:, 1]).min(axis=1)
         # Check-ins sit within a few jitter radii of some POI.
         assert np.median(dists) < 4 * config.position_jitter_m
 

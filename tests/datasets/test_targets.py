@@ -7,7 +7,10 @@ kept small.
 import pytest
 
 from repro.core.errors import DatasetError
+from repro.datasets import targets
+from repro.datasets.foursquare import checkin_locations
 from repro.datasets.targets import DATASET_NAMES, dataset_city, sample_targets
+from repro.datasets.tdrive import taxi_locations
 
 
 class TestDatasetCity:
@@ -54,3 +57,21 @@ class TestSampleTargets:
         dens_trace = np.mean([db.freq(p, radius).sum() for p in trace])
         dens_rand = np.mean([db.freq(p, radius).sum() for p in rand])
         assert dens_trace > dens_rand
+
+
+class TestNegativeCount:
+    """A negative count is refused with a typed error before any synthesis."""
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_sample_targets_refuses_before_building_a_city(self, name, monkeypatch):
+        def no_city(name, seed):
+            raise AssertionError("built a city for a negative count")
+
+        monkeypatch.setattr(targets, "dataset_city", no_city)
+        with pytest.raises(DatasetError, match="non-negative"):
+            sample_targets(name, -1, 500.0, seed=0)
+
+    @pytest.mark.parametrize("sampler", [taxi_locations, checkin_locations])
+    def test_samplers_refuse(self, sampler, db):
+        with pytest.raises(DatasetError, match="non-negative"):
+            sampler(db, -1, rng=0)

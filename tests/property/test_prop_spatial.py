@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.geo.grid_index import GridIndex
-from repro.geo.kdtree import KDTree
 from repro.geo.point import Point
 
 point_sets = hnp.arrays(
@@ -41,23 +40,3 @@ class TestGridIndexProperties:
         outer = set(index.query_radius(center, large).tolist())
         assert inner <= outer
 
-
-class TestKDTreeProperties:
-    @given(point_sets, queries, st.integers(1, 10))
-    @settings(max_examples=80, deadline=None)
-    def test_knn_matches_brute_force(self, pts, q, k):
-        tree = KDTree(pts)
-        query = Point(*q)
-        _, dist = tree.k_nearest(query, k)
-        brute = np.sort(np.hypot(pts[:, 0] - query.x, pts[:, 1] - query.y))
-        np.testing.assert_allclose(dist, brute[: len(dist)], rtol=1e-10, atol=1e-8)
-
-    @given(point_sets, queries)
-    @settings(max_examples=60, deadline=None)
-    def test_nearest_is_min_distance(self, pts, q):
-        tree = KDTree(pts)
-        query = Point(*q)
-        _, d = tree.nearest(query)
-        brute = np.hypot(pts[:, 0] - query.x, pts[:, 1] - query.y).min()
-        assert d == np.float64(d)
-        np.testing.assert_allclose(d, brute, rtol=1e-10, atol=1e-8)

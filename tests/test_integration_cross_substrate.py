@@ -1,37 +1,29 @@
-"""Cross-substrate integration: road traces through the full attack stack.
+"""Cross-substrate integration: taxi traces through the full attack stack.
 
-End-to-end path no single unit test covers: synthesize a road network,
-route taxis along it, release aggregates through the LBS entities, and
+End-to-end path no single unit test covers: synthesize a taxi fleet over
+the city's POI hotspots, release aggregates through the LBS entities, and
 track the drivers with the continuous tracker — every substrate touching
 every other.
 """
 
-import numpy as np
 import pytest
 
 from repro.attacks.tracker import ContinuousTracker, TimedRelease
 from repro.core.rng import derive_rng
-from repro.datasets.roads import (
-    RoadFleetConfig,
-    RoadNetwork,
-    synthesize_road_trajectories,
-)
+from repro.datasets.tdrive import TaxiFleetConfig, synthesize_taxi_trajectories
 from repro.lbs.entities import GeoServiceProvider, MobileUser, POIService
 
 
 @pytest.fixture(scope="module")
-def road_setup(db):
-    network = RoadNetwork.synthesize(db, n_intersections=100, rng=derive_rng(1, "xsub"))
-    config = RoadFleetConfig(n_taxis=6, trips_per_taxi=3, gps_noise_m=5.0)
-    trajectories = synthesize_road_trajectories(db, network, config, derive_rng(2, "xsub"))
-    return network, trajectories
+def trajectories(db):
+    config = TaxiFleetConfig(n_taxis=6, trips_per_taxi=3, gps_noise_m=5.0)
+    return synthesize_taxi_trajectories(db, config, derive_rng(2, "xsub"))
 
 
-class TestRoadTracesThroughTheStack:
+class TestTaxiTracesThroughTheStack:
     RADIUS = 700.0
 
-    def test_releases_flow_through_lbs_entities(self, db, road_setup):
-        _, trajectories = road_setup
+    def test_releases_flow_through_lbs_entities(self, db, trajectories):
         gsp = GeoServiceProvider(db)
         service = POIService(curious=True)
         for traj in trajectories:
@@ -40,8 +32,7 @@ class TestRoadTracesThroughTheStack:
                 service.recommend(release)
         assert len(service.observed_releases) == sum(len(t) for t in trajectories)
 
-    def test_tracker_consumes_road_traces(self, db, road_setup):
-        _, trajectories = road_setup
+    def test_tracker_consumes_taxi_traces(self, db, trajectories):
         tracker = ContinuousTracker(db, max_speed_mps=25.0)
         n_unique = n_correct = 0
         for traj in trajectories:
@@ -55,12 +46,11 @@ class TestRoadTracesThroughTheStack:
                 anchor = result.candidate_at(step)
                 dist = db.location_of(anchor).distance_to(traj.points[step].location)
                 n_correct += dist <= self.RADIUS + 1e-6
-        # Soundness holds on road-constrained motion too.
+        # Soundness holds on the synthesized fleet's motion too.
         assert n_correct == n_unique
 
-    def test_road_speeds_respect_tracker_bound(self, road_setup):
+    def test_taxi_speeds_respect_tracker_bound(self, trajectories):
         """The tracker's 25 m/s bound is actually sound for this fleet."""
-        _, trajectories = road_setup
         for traj in trajectories:
             for a, b in zip(traj.points, traj.points[1:]):
                 dt = b.timestamp - a.timestamp
