@@ -16,6 +16,7 @@ larger area.
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.attacks.base import Release
 from repro.attacks.fine_grained import FineGrainedAttack
 from repro.core.rng import derive_rng
 from repro.experiments.results import ExperimentResult
@@ -44,7 +45,7 @@ def _evaluate(bench_scale):
         areas, contains, n_success = [], 0, 0
         mc_rng = derive_rng(bench_scale.seed, "ablation-mc", name)
         for target in targets:
-            outcome = attack.run(db.freq(target, radius), radius)
+            outcome = attack.run(Release(db.freq(target, radius), radius))
             if not outcome.success:
                 continue
             n_success += 1

@@ -2,11 +2,17 @@
 
 Runs one dropout-tolerant federated aggregation round with 100,000
 enrolled clients in a fresh subprocess and asserts the aggregate-side
-memory claim for real: the subprocess's peak RSS (``ru_maxrss`` — the
-interpreter, the city, and the whole streaming merge) stays under the
-configured ``memory_budget_mb``.  A naive implementation that retains
-per-client state — the ``(clients, cells, types)`` noise-share tensor
-alone would be ~2 GB here — cannot pass.
+memory claim for real: the subprocess's peak RSS (the interpreter, the
+city, and the whole streaming merge) stays under the configured
+``memory_budget_mb``.  A naive implementation that retains per-client
+state — the ``(clients, cells, types)`` noise-share tensor alone would be
+~2 GB here — cannot pass.
+
+The peak is ``VmHWM`` from ``/proc/self/status``, the high-water mark of
+the subprocess's own address space.  ``ru_maxrss`` is only the fallback
+where there is no ``VmHWM``: on Linux a fork+exec'd child starts with
+its parent's ``ru_maxrss``, so under a large pytest process it reports
+the parent's peak, not the round's.
 
 The second half records the privacy comparison the backend exists for:
 region-attack success on the federated release versus the centralized
@@ -36,26 +42,36 @@ import json, resource, sys
 from repro.federated import FederatedConfig, run_campaign
 from repro.poi.cities import small_city
 
+def peak_kb():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 config = FederatedConfig(
     n_clients={n_clients},
     n_rounds=1,
     memory_budget_mb={budget},
 )
 city = small_city(seed=7)
-baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+baseline_kb = peak_kb()
 import time
 t0 = time.perf_counter()
 result = run_campaign(city.database, config, seed=11)
 wall_s = time.perf_counter() - t0
 outcome = result.rounds[0]
 outcome.ledger.require_accounted()
-peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+round_peak_kb = peak_kb()
 print(json.dumps({{
     "committed": outcome.committed,
     "ledger": outcome.ledger.as_dict(),
     "merge_stats": outcome.merge_stats,
     "baseline_rss_mb": baseline_kb / 1024.0,
-    "peak_rss_mb": peak_kb / 1024.0,
+    "peak_rss_mb": round_peak_kb / 1024.0,
     "wall_s": wall_s,
     "n_cells": result.grid.n_cells,
 }}))

@@ -20,12 +20,14 @@ target's true POI set ``P(l, r)``:
   sufficient), which the paper accepts; the evaluation tracks how often
   the final region still contains the target.
 
-Harvesting stops after ``max_aux`` anchors; Fig. 7 sweeps that cap.
+Harvesting stops after ``max_aux`` anchors; Fig. 7 sweeps that cap.  The
+walk computes ``Freq(p, 2r)`` only for the candidates it examines before
+the cap, so a superset of thousands of POIs costs a few dozen rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +139,12 @@ class FineGrainedAttack:
     ) -> list[int]:
         """Collect auxiliary anchors around *major_anchor* (Algorithm 1 body)."""
         superset = self._db.query(self._db.location_of(major_anchor), 2 * radius)
-        return self._harvest(np.asarray(freq_vector), radius, major_anchor, superset)
+        anchors: list[int] = []
+        for _ in self._harvest(
+            np.asarray(freq_vector), radius, major_anchor, superset, anchors
+        ):
+            pass
+        return anchors
 
     def _harvest(
         self,
@@ -145,28 +152,38 @@ class FineGrainedAttack:
         radius: float,
         major_anchor: int,
         superset: np.ndarray,
-    ) -> list[int]:
-        """Algorithm 1 over a precomputed superset ``P(p*, 2r)``.
+        anchors: list[int],
+    ) -> Iterator[np.ndarray]:
+        """Algorithm 1 over a precomputed superset ``P(p*, 2r)``, appending to *anchors*.
 
-        The domination checks for the whole superset are evaluated as one
-        broadcast against the anchor frequency matrix; the harvest loop then
-        only consults the precomputed mask, preserving the scalar order and
-        the ``MAX_aux`` early exit exactly.
+        The walk visits the superset type by type in ascending difference
+        order, each type's members in superset order.  Before it reads the
+        ``Freq(p, 2r)`` rows of a run of candidates it yields their POI
+        indices, so a caller can fill the rows many walks wait on in one
+        engine call; the read fills any row still missing itself, so the
+        caller only batches reads and never decides an outcome.  A run
+        holds at most ``max_aux - len(anchors)`` candidates and each adds
+        at most one anchor, so the cap cannot stop the walk inside a run:
+        every row a run asks for is read, and no row past the cap is.
         """
         if self.max_aux == 0:
-            return []
+            return
         db = self._db
         anchor_loc = db.location_of(major_anchor)
-        f_superset = db.freq_at_poi(major_anchor, 2 * radius)
-        f_diff = f_superset - freq_vector
+        yield np.array([major_anchor], dtype=np.intp)
+        f_diff = db.freq_at_poi(major_anchor, 2 * radius) - freq_vector
 
-        superset_types = db.type_ids[superset]
-        present = np.unique(superset_types)
-        # Ascending difference puts the sound zero-difference fast path first.
-        order = present[np.lexsort((present, f_diff[present]))]
-
-        anchors: list[int] = []
-        dominated: "np.ndarray | None" = None
+        types = db.type_ids[superset]
+        # Ascending difference puts the sound zero-difference fast path
+        # first; the sort is stable, so a type's members keep superset order.
+        order = np.lexsort((types, f_diff[types]))
+        order = order[superset[order] != major_anchor]
+        members = superset[order]
+        diffs = f_diff[types[order]]
+        # A major that does not dominate the release leaves negative
+        # differences, which sort before the fast path and are checked.
+        lo = int(np.searchsorted(diffs, 0, side="left"))
+        hi = int(np.searchsorted(diffs, 0, side="right"))
 
         def mutually_consistent(p: int) -> bool:
             if not self.consistent_anchors:
@@ -177,85 +194,83 @@ class FineGrainedAttack:
                 loc.distance_to(db.location_of(a)) <= limit for a in anchors
             ) and loc.distance_to(anchor_loc) <= limit
 
-        for t in order:
-            member_pos = np.flatnonzero(superset_types == t)
-            if f_diff[t] == 0:
-                for k in member_pos:
-                    p = int(superset[k])
-                    if p != major_anchor and mutually_consistent(p):
+        for start, stop, free in ((0, lo, False), (lo, hi, True), (hi, len(members), False)):
+            if self.sound_only and not free:
+                continue
+            while start < stop and len(anchors) < self.max_aux:
+                run = members[start : min(stop, start + self.max_aux - len(anchors))]
+                keep = np.ones(len(run), dtype=bool)
+                if not free:
+                    yield run
+                    keep[:] = dominates(db.anchor_freqs(2 * radius, run), freq_vector)
+                for p, ok in zip(run.tolist(), keep):
+                    if ok and mutually_consistent(p):
                         anchors.append(p)
-                    if len(anchors) >= self.max_aux:
-                        return anchors
-            elif not self.sound_only:
-                if dominated is None:
-                    dominated = dominates(
-                        db.anchor_freqs(2 * radius, superset), freq_vector
-                    )
-                for k in member_pos:
-                    p = int(superset[k])
-                    if p == major_anchor:
-                        continue
-                    if dominated[k] and mutually_consistent(p):
-                        anchors.append(p)
-                    if len(anchors) >= self.max_aux:
-                        return anchors
-        return anchors
+                start += len(run)
 
     def run(self, release: Release) -> FineGrainedOutcome:
         """Baseline re-identification, then anchor harvesting if unique."""
         rel = require_release(release, caller="FineGrainedAttack.run")
-        base = self._region_attack.run(rel)
-        return self._finish(rel, base)
+        return self.run_batch([rel])[0]
 
     def run_batch(self, releases: Sequence[Release]) -> list[FineGrainedOutcome]:
-        """Batched fine-grained attack, bit-identical to the scalar loop.
+        """Fine-grained attack on a batch of releases.
 
-        The baseline stage runs through :meth:`RegionAttack.run_batch`; the
-        successful releases' supersets ``P(p*, 2r)`` are then answered with
-        one batched grid query per radius and their anchor rows warmed in
-        one vectorized pass before harvesting.
+        The baseline stage runs through :meth:`RegionAttack.run_batch`, and
+        the successful releases' supersets ``P(p*, 2r)`` come from one
+        batched grid query per radius.  Their harvests then advance in
+        rounds: each round fills the union of the anchor rows the waiting
+        walks asked for, with one
+        :meth:`~repro.poi.database.POIDatabase.anchor_freqs` call per
+        radius, and resumes every walk until it asks again or finishes.
+        Only the rows Algorithm 1 reads before its ``MAX_aux`` cap are
+        ever computed.
         """
         releases = list(releases)
         bases = self._region_attack.run_batch(releases)
         db = self._db
-        wins = [i for i, base in enumerate(bases) if base.success]
+        anchors: list[list[int]] = [[] for _ in releases]
         by_radius: dict[float, list[int]] = {}
-        for i in wins:
-            by_radius.setdefault(float(releases[i].radius), []).append(i)
-        supersets: dict[int, np.ndarray] = {}
+        for i, base in enumerate(bases):
+            if base.success:
+                by_radius.setdefault(float(releases[i].radius), []).append(i)
+        walks: list[tuple[float, Iterator[np.ndarray]]] = []
         for radius, rows in by_radius.items():
             majors = [bases[i].candidates[0] for i in rows]
             xy = db.positions[np.asarray(majors, dtype=np.intp)]
             idx, offsets = db.query_batch(xy, 2 * radius)
             for j, i in enumerate(rows):
-                supersets[i] = idx[offsets[j] : offsets[j + 1]]
-            needed = np.unique(np.concatenate([idx, np.asarray(majors, dtype=np.intp)]))
-            if len(needed):
-                db.anchor_freqs(2 * radius, needed)
+                superset = idx[offsets[j] : offsets[j + 1]]
+                freq_vector = np.asarray(releases[i].frequency_vector)
+                walk = self._harvest(freq_vector, radius, majors[j], superset, anchors[i])
+                walks.append((radius, walk))
+        waiting = _advance(walks)
+        while waiting:
+            wanted: dict[float, list[np.ndarray]] = {}
+            for radius, _, run in waiting:
+                wanted.setdefault(radius, []).append(run)
+            for radius, runs in wanted.items():
+                db.anchor_freqs(2 * radius, np.unique(np.concatenate(runs)))
+            waiting = _advance((radius, walk) for radius, walk, _ in waiting)
         return [
-            self._finish(rel, base, supersets.get(i))
-            for i, (rel, base) in enumerate(zip(releases, bases))
+            FineGrainedOutcome(
+                base=base,
+                radius=rel.radius,
+                major_anchor=base.candidates[0] if base.success else None,
+                anchors=tuple(found),
+                _db=db,
+            )
+            for rel, base, found in zip(releases, bases, anchors)
         ]
 
-    def _finish(
-        self,
-        release: Release,
-        base: AttackOutcome,
-        superset: "np.ndarray | None" = None,
-    ) -> FineGrainedOutcome:
-        if not base.success:
-            return FineGrainedOutcome(
-                base=base, radius=release.radius, major_anchor=None, anchors=(), _db=self._db
-            )
-        major = base.candidates[0]
-        freq_vector = np.asarray(release.frequency_vector)
-        if superset is None:
-            superset = self._db.query(self._db.location_of(major), 2 * release.radius)
-        anchors = self._harvest(freq_vector, release.radius, major, superset)
-        return FineGrainedOutcome(
-            base=base,
-            radius=release.radius,
-            major_anchor=major,
-            anchors=tuple(anchors),
-            _db=self._db,
-        )
+
+def _advance(
+    walks: Iterable[tuple[float, Iterator[np.ndarray]]],
+) -> list[tuple[float, Iterator[np.ndarray], np.ndarray]]:
+    """Resume each harvest walk to its next row request; drop finished walks."""
+    waiting: list[tuple[float, Iterator[np.ndarray], np.ndarray]] = []
+    for radius, walk in walks:
+        run = next(walk, None)
+        if run is not None:
+            waiting.append((radius, walk, run))
+    return waiting

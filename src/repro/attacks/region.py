@@ -141,8 +141,11 @@ class RegionAttack:
 
         # Released counts are disk point totals, so they fit int32 in any
         # realistic city; matching the bound/anchor matrices' dtype keeps
-        # the domination comparisons below upcast-free.
-        if stacked.size == 0 or stacked.max() < np.iinfo(np.int32).max:
+        # the domination comparisons below upcast-free.  A fractional
+        # vector keeps its dtype: truncating 0.4 to 0 would drop a present
+        # type, and the outcome would differ from ``run``'s.
+        integral = not np.issubdtype(stacked.dtype, np.floating) or not (stacked % 1).any()
+        if integral and (stacked.size == 0 or stacked.max() < np.iinfo(np.int32).max):
             stacked = stacked.astype(np.int32, copy=False)
 
         # Step 1 for the whole batch: the city-rarest present type per row.

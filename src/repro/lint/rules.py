@@ -14,7 +14,7 @@ commit.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.lint.engine import FileContext, Violation
 
@@ -472,14 +472,23 @@ class DeprecatedPositionalShim(Rule):
         if ctx.is_test:
             return
         attack_vars: dict[str, str] = {}
+        literals: dict[str, ast.expr] = {}
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                ctor = ctx.imports.resolve(node.value.func)
-                cls = _SHIMMED_ATTACKS.get(ctor or "")
-                if cls is not None:
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Name):
+            if isinstance(node, ast.Assign):
+                cls = self._attack_class(ctx, node.value)
+                for tgt in node.targets:
+                    if isinstance(tgt, ast.Name):
+                        if cls is not None:
                             attack_vars[tgt.id] = cls
+                        elif isinstance(node.value, (ast.Dict, ast.List, ast.Tuple)):
+                            literals[tgt.id] = node.value
+        # Loop variables bound to a literal of attacks, e.g.
+        # ``for name, attack in {"a": RegionAttack(db)}.items()``.
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.For):
+                bound = self._loop_binding(ctx, node, literals)
+                if bound is not None:
+                    attack_vars[bound[0]] = bound[1]
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
@@ -504,6 +513,45 @@ class DeprecatedPositionalShim(Rule):
                     "pre-v1 positional spelling; pass repro.attacks."
                     "Release(freq_vector, radius) instead",
                 )
+
+    @staticmethod
+    def _attack_class(ctx: FileContext, node: "ast.expr | None") -> "str | None":
+        """The attack class *node* constructs, if it is such a constructor call."""
+        if not isinstance(node, ast.Call):
+            return None
+        return _SHIMMED_ATTACKS.get(ctx.imports.resolve(node.func) or "")
+
+    def _loop_binding(
+        self, ctx: FileContext, loop: ast.For, literals: dict[str, ast.expr]
+    ) -> "tuple[str, str] | None":
+        """``(variable, class)`` when *loop* iterates a literal of attack constructors.
+
+        Covers ``.items()`` and ``.values()`` of a dict literal and direct
+        iteration over a list or tuple literal, written inline or bound to
+        a name first.
+        """
+        source, target = loop.iter, loop.target
+        method: "str | None" = None
+        if isinstance(source, ast.Call) and isinstance(source.func, ast.Attribute):
+            method, source = source.func.attr, source.func.value
+        if isinstance(source, ast.Name):
+            source = literals.get(source.id, source)
+        elements: Sequence[ast.expr | None]
+        if isinstance(source, ast.Dict) and method in ("items", "values"):
+            elements = source.values
+            if method == "items":
+                if not (isinstance(target, ast.Tuple) and len(target.elts) == 2):
+                    return None
+                target = target.elts[1]
+        elif isinstance(source, (ast.List, ast.Tuple)) and method is None:
+            elements = source.elts
+        else:
+            return None
+        classes = [self._attack_class(ctx, e) for e in elements]
+        first = classes[0] if classes else None
+        if first is None or None in classes or not isinstance(target, ast.Name):
+            return None
+        return target.id, first
 
 
 #: Role keywords marking a write as crash-safety-critical: files other

@@ -18,6 +18,7 @@ from repro.attacks.tracker import ContinuousTracker
 from repro.core.errors import AttackError
 from repro.core.rng import derive_rng
 from repro.geo.point import Point
+from tests.attacks.test_fine_grained import reference_outcome
 
 RADII = (250.0, 500.0, 1_000.0, 2_000.0)
 
@@ -108,6 +109,19 @@ class TestRegionRunBatch:
     def test_empty_batch(self, tiny_db):
         assert RegionAttack(tiny_db).run_batch([]) == []
 
+    def test_fractional_releases_match_scalar(self, city):
+        # Unrounded noise leaves counts below 1 that are still present.
+        attack = RegionAttack(city.database)
+        _, releases = sample_releases(city, 700.0, 40, seed=37)
+        rng = derive_rng(37, "fractional")
+        noise = rng.laplace(0.0, 0.5, (len(releases), city.database.n_types))
+        noisy = [
+            Release(np.clip(rel.frequency_vector + n, 0.0, None), rel.radius)
+            for rel, n in zip(releases, noise)
+        ]
+        for got, rel in zip(attack.run_batch(noisy), noisy):
+            assert_outcomes_equal(got, attack.run(rel))
+
     def test_all_zero_vector(self, tiny_db):
         attack = RegionAttack(tiny_db)
         rel = Release(np.zeros(3, dtype=int), 100.0)
@@ -162,18 +176,17 @@ class TestFineGrainedRunBatch:
         ),
     )
     def test_bit_identical_to_scalar(self, city, radius, kwargs):
+        # ``run`` is ``run_batch`` of one release, so the scalar side is the
+        # region attack's ``run`` plus the whole-superset reference harvest.
         attack = FineGrainedAttack(city.database, **kwargs)
         _, releases = sample_releases(city, radius, 25, seed=31)
         city.database.clear_cache()
-        scalar = [attack.run(rel) for rel in releases]
-        city.database.clear_cache()
         batch = attack.run_batch(releases)
-        assert len(batch) == len(scalar)
-        for got, want in zip(batch, scalar):
-            assert got.major_anchor == want.major_anchor
-            assert got.anchors == want.anchors
-            assert got.radius == want.radius
-            assert_outcomes_equal(got.base, want.base)
+        assert len(batch) == len(releases)
+        for got, rel in zip(batch, releases):
+            assert (got.major_anchor, got.anchors) == reference_outcome(attack, rel)
+            assert got.radius == rel.radius
+            assert_outcomes_equal(got.base, RegionAttack(city.database).run(rel))
 
     def test_empty_batch(self, tiny_db):
         assert FineGrainedAttack(tiny_db).run_batch([]) == []

@@ -7,16 +7,94 @@ import pytest
 
 from repro.attacks.base import Release
 from repro.attacks.fine_grained import FineGrainedAttack
+from repro.attacks.region import RegionAttack
 from repro.core.errors import AttackError
 from repro.core.rng import derive_rng
+from repro.experiments.scale import DEFAULT_SEED
+from repro.poi.cities import beijing, small_city
+from repro.poi.frequency import dominates
 
 
-@pytest.fixture(scope="module")
-def setting(request):
-    from repro.poi.cities import small_city
+def _reference_harvest(attack, freq_vector, radius, major_anchor, superset, reads=None):
+    """Algorithm 1 as a type-by-type walk with one ``dominates`` over the superset.
 
-    city = small_city(seed=7)
-    return city, city.database
+    The harvest ``FineGrainedAttack`` ran before it filled anchor rows on
+    demand, kept verbatim (``self`` became *attack*) as the reference.  The
+    one addition is *reads*: when given, it collects every candidate whose
+    domination result the walk consults.
+    """
+    if attack.max_aux == 0:
+        return []
+    db = attack._db
+    anchor_loc = db.location_of(major_anchor)
+    f_superset = db.freq_at_poi(major_anchor, 2 * radius)
+    f_diff = f_superset - freq_vector
+
+    superset_types = db.type_ids[superset]
+    present = np.unique(superset_types)
+    # Ascending difference puts the sound zero-difference fast path first.
+    order = present[np.lexsort((present, f_diff[present]))]
+
+    anchors: list[int] = []
+    dominated = None
+
+    def mutually_consistent(p: int) -> bool:
+        if not attack.consistent_anchors:
+            return True
+        loc = db.location_of(p)
+        limit = 2 * radius + 1e-9
+        return all(
+            loc.distance_to(db.location_of(a)) <= limit for a in anchors
+        ) and loc.distance_to(anchor_loc) <= limit
+
+    for t in order:
+        member_pos = np.flatnonzero(superset_types == t)
+        if f_diff[t] == 0:
+            for k in member_pos:
+                p = int(superset[k])
+                if p != major_anchor and mutually_consistent(p):
+                    anchors.append(p)
+                if len(anchors) >= attack.max_aux:
+                    return anchors
+        elif not attack.sound_only:
+            if dominated is None:
+                dominated = dominates(
+                    db.anchor_freqs(2 * radius, superset), freq_vector
+                )
+            for k in member_pos:
+                p = int(superset[k])
+                if p == major_anchor:
+                    continue
+                if reads is not None:
+                    reads.append(p)
+                if dominated[k] and mutually_consistent(p):
+                    anchors.append(p)
+                if len(anchors) >= attack.max_aux:
+                    return anchors
+    return anchors
+
+
+def reference_outcome(attack, release):
+    """``(major, anchors)`` from the scalar region attack and the reference walk."""
+    base = RegionAttack(attack._db).run(release)
+    if not base.success:
+        return None, ()
+    major = base.candidates[0]
+    db = attack._db
+    superset = db.query(db.location_of(major), 2 * release.radius)
+    freq_vector = np.asarray(release.frequency_vector)
+    return major, tuple(
+        _reference_harvest(attack, freq_vector, release.radius, major, superset)
+    )
+
+
+def exact_and_noisy_releases(city, radius, n, seed):
+    """*n* exact releases and *n* with rounded Laplace noise clipped at 0."""
+    rng = derive_rng(seed, "fine-grained-releases", radius)
+    targets = [city.interior(radius).sample_point(rng) for _ in range(n)]
+    freqs = city.database.freq_batch(targets, radius)
+    noisy = np.clip(np.rint(freqs + rng.laplace(0.0, 0.15, freqs.shape)), 0, None)
+    return [Release(f, radius) for f in (*freqs, *noisy)]
 
 
 class TestHarvesting:
@@ -159,3 +237,86 @@ class TestPointEstimate:
                 assert region.contains(estimate)
                 return
         pytest.skip("no unique target found")
+
+
+MODES = (
+    {},
+    {"max_aux": 0},
+    {"max_aux": 1},
+    {"max_aux": 3},
+    {"max_aux": 40},
+    {"sound_only": True},
+    {"consistent_anchors": True},
+)
+
+CITIES = {"small": lambda: small_city(seed=7), "beijing": lambda: beijing(DEFAULT_SEED)}
+
+
+class TestMatchesReference:
+    """The on-demand walk harvests exactly what the whole-superset walk did."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=repr)
+    @pytest.mark.parametrize(
+        "city_name,radius",
+        (("small", 300.0), ("small", 700.0), ("small", 1_500.0), ("beijing", 2_000.0)),
+    )
+    def test_run_batch_matches_reference(self, city_name, radius, mode):
+        city = CITIES[city_name]()
+        attack = FineGrainedAttack(city.database, **mode)
+        releases = exact_and_noisy_releases(city, radius, 30, seed=41)
+        outcomes = attack.run_batch(releases)
+        for release, outcome in zip(releases, outcomes):
+            major, anchors = reference_outcome(attack, release)
+            assert outcome.major_anchor == major
+            assert outcome.anchors == anchors
+        # Both halves, exact and noisy, reach the harvest.
+        assert any(o.success for o in outcomes[:30])
+        assert any(o.success for o in outcomes[30:])
+
+    @pytest.mark.parametrize(
+        "mode", ({}, {"max_aux": 3}, {"max_aux": 40}, {"consistent_anchors": True}), ids=repr
+    )
+    def test_harvest_anchors_with_non_dominating_majors(self, city, db, mode):
+        # A major that does not dominate the release leaves negative type
+        # differences, which sort before the zero-difference fast path.
+        attack = FineGrainedAttack(db, **mode)
+        rng = derive_rng(43, "random-majors")
+        radius = 700.0
+        n_checked = 0
+        while n_checked < 40:
+            freq = db.freq(city.interior(radius).sample_point(rng), radius)
+            major = int(rng.integers(len(db)))
+            if dominates(db.freq_at_poi(major, 2 * radius), freq):
+                continue
+            superset = db.query(db.location_of(major), 2 * radius)
+            want = _reference_harvest(attack, freq, radius, major, superset)
+            assert attack.harvest_anchors(freq, radius, major) == want
+            n_checked += 1
+
+    @pytest.mark.parametrize("mode", ({}, {"max_aux": 3}, {"consistent_anchors": True}), ids=repr)
+    def test_fills_only_the_rows_the_walk_reads(self, city, db, mode):
+        radius = 700.0
+        attack = FineGrainedAttack(db, **mode)
+        releases = exact_and_noisy_releases(city, radius, 30, seed=47)
+        db.clear_cache()
+        RegionAttack(db).run_batch(releases)
+        region_rows = set(np.flatnonzero(_ready_rows(db, 2 * radius)).tolist())
+        outcomes = attack.run_batch(releases)
+        filled = set(np.flatnonzero(_ready_rows(db, 2 * radius)).tolist())
+
+        majors, reads = set(), []
+        for release, outcome in zip(releases, outcomes):
+            if not outcome.success:
+                continue
+            major = outcome.major_anchor
+            majors.add(major)
+            superset = db.query(db.location_of(major), 2 * radius)
+            freq_vector = np.asarray(release.frequency_vector)
+            _reference_harvest(attack, freq_vector, radius, major, superset, reads)
+        assert reads
+        assert filled == region_rows | majors | set(reads)
+
+
+def _ready_rows(db, radius):
+    """The database's computed-row mask of its cached ``Freq(p, radius)`` matrix."""
+    return db._anchor_ready[float(radius)]

@@ -18,3 +18,12 @@ def variable_positional(db, freq: np.ndarray, radius: float):
 def radius_keyword_is_still_the_shim(db, freq: np.ndarray, radius: float):
     attack = RegionAttack(db)
     return attack.run(freq, radius=radius)  # PL006
+
+
+def loop_over_a_dict_of_attacks(db, freq: np.ndarray, radius: float):
+    variants = {
+        "paper": FineGrainedAttack(db, max_aux=20),
+        "sound": FineGrainedAttack(db, max_aux=20, sound_only=True),
+    }
+    for name, attack in variants.items():
+        attack.run(freq, radius)  # PL006

@@ -31,7 +31,7 @@ CASES = [
     ("pl004_clean.py", "src/repro/experiments/fixture.py", "PL004", 0),
     ("pl005_violations.py", "src/repro/experiments/fixture.py", "PL005", 4),
     ("pl005_clean.py", "src/repro/experiments/fixture.py", "PL005", 0),
-    ("pl006_violations.py", "examples/fixture.py", "PL006", 3),
+    ("pl006_violations.py", "examples/fixture.py", "PL006", 4),
     ("pl006_clean.py", "examples/fixture.py", "PL006", 0),
     ("pl007_violations.py", "src/repro/experiments/fixture.py", "PL007", 4),
     ("pl007_clean.py", "src/repro/experiments/fixture.py", "PL007", 0),
