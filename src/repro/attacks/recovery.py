@@ -24,6 +24,7 @@ from repro.core.errors import AttackError, NotFittedError
 from repro.core.rng import RngLike, as_generator
 from repro.defense.sanitization import Sanitizer
 from repro.geo.bbox import BBox
+from repro.ml.kernels import gamma_scale, rbf_kernel
 from repro.ml.metrics import accuracy_score
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.preprocessing import StandardScaler
@@ -68,7 +69,9 @@ class SanitizationRecoveryAttack:
         ``"svc"`` for the paper's RBF-SVC (one-vs-rest over libsvm's SMO
         solver) or ``"naive_bayes"`` for the closed-form Gaussian NB
         alternative, which trains faster in linear memory with comparable
-        accuracy (see the recovery-model bench).
+        accuracy (see the recovery-model bench).  Every SVC of one fit
+        trains on one shared RBF Gram of the training rows and predicts
+        from one cross-kernel against them.
     """
 
     def __init__(
@@ -89,6 +92,8 @@ class SanitizationRecoveryAttack:
             raise AttackError(f"limit_types must be positive, got {limit_types}")
         self._limit_types = limit_types
         self._scaler: "StandardScaler | None" = None
+        self._X_train: "np.ndarray | None" = None
+        self._gamma = 1.0
         self._models: "dict[int, OneVsRestSVC | GaussianNaiveBayes]" = {}
         self._feature_types: "np.ndarray | None" = None
         self._report: "RecoveryTrainingReport | None" = None
@@ -118,6 +123,17 @@ class SanitizationRecoveryAttack:
         assert self._feature_types is not None
         return freq_vectors[:, self._feature_types]
 
+    def _model_inputs(self, X: np.ndarray) -> np.ndarray:
+        """What the models read for scaled rows *X*.
+
+        The SVCs read the RBF kernel between *X* and the training rows;
+        naive Bayes reads *X* itself.
+        """
+        if self._model_kind == "svc":
+            assert self._X_train is not None
+            return rbf_kernel(X, self._X_train, self._gamma)
+        return X
+
     def fit(
         self,
         radius: float,
@@ -129,7 +145,7 @@ class SanitizationRecoveryAttack:
         """Generate training data and train one model per sanitized type.
 
         The paper trains on 10,000 random locations with 2,000 validation
-        samples; the defaults here are scaled down, because the SVC holds
+        samples; the defaults here are scaled down, because the SVCs share
         an ``n_train``-square kernel matrix, and are configurable back up.
         """
         if n_train <= 1 or n_validation <= 0:
@@ -137,7 +153,10 @@ class SanitizationRecoveryAttack:
         gen = as_generator(rng)
         area = bounds if bounds is not None else self._db.bounds
         n_total = n_train + n_validation
-        locations = [area.sample_point(gen) for _ in range(n_total)]
+        # The same doubles, in the same order, as n_total BBox.sample_point calls.
+        locations = gen.uniform(
+            [area.min_x, area.min_y], [area.max_x, area.max_y], size=(n_total, 2)
+        )
         freqs = self._db.freq_batch(locations, radius).astype(float)
 
         # Features are always the full non-sanitized part (the published
@@ -149,8 +168,11 @@ class SanitizationRecoveryAttack:
 
         X = self._features(freqs)
         self._scaler = StandardScaler().fit(X[:n_train])
-        X_train = self._scaler.transform(X[:n_train])
-        X_val = self._scaler.transform(X[n_train:])
+        self._X_train = self._scaler.transform(X[:n_train])
+        # Every SVC of this fit shares this gamma and the kernels built with it.
+        self._gamma = gamma_scale(self._X_train)
+        train = self._model_inputs(self._X_train)
+        val = self._model_inputs(self._scaler.transform(X[n_train:]))
 
         type_ids: list[int] = []
         accuracies: list[float] = []
@@ -158,13 +180,13 @@ class SanitizationRecoveryAttack:
         for t in modeled:
             y = freqs[:, t].astype(np.int64)
             if self._model_kind == "svc":
-                model = OneVsRestSVC(C=self._C, kernel="rbf")
+                model: "OneVsRestSVC | GaussianNaiveBayes" = OneVsRestSVC(C=self._C)
             else:
                 model = GaussianNaiveBayes()
-            model.fit(X_train, y[:n_train])
+            model.fit(train, y[:n_train])
             self._models[int(t)] = model
             type_ids.append(int(t))
-            accuracies.append(accuracy_score(y[n_train:], model.predict(X_val)))
+            accuracies.append(accuracy_score(y[n_train:], model.predict(val)))
         self._report = RecoveryTrainingReport(tuple(type_ids), tuple(accuracies))
         return self._report
 
@@ -187,8 +209,8 @@ class SanitizationRecoveryAttack:
             raise AttackError(
                 f"expected (n, {self._db.n_types}) vectors, got shape {vectors.shape}"
             )
-        X = self._scaler.transform(self._features(vectors))
+        inputs = self._model_inputs(self._scaler.transform(self._features(vectors)))
         recovered = vectors.copy()
         for t, model in self._models.items():
-            recovered[:, t] = model.predict(X)
+            recovered[:, t] = model.predict(inputs)
         return np.rint(np.clip(recovered, 0.0, None)).astype(np.int64)

@@ -59,6 +59,10 @@ def synthesize_checkins(
     weights = 1.0 / np.arange(1, n_pois + 1, dtype=float) ** config.popularity_exponent
     popularity = np.empty(n_pois)
     popularity[perm] = weights / weights.sum()
+    # Generator.choice(n_pois, p=popularity) builds this CDF on every call,
+    # then takes the right searchsorted of one random().
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
 
     users: list[Trajectory] = []
     for user in range(config.n_users):
@@ -69,7 +73,7 @@ def synthesize_checkins(
             if gen.uniform() < config.favourite_probability:
                 venue = int(favourites[gen.integers(0, len(favourites))])
             else:
-                venue = int(gen.choice(n_pois, p=popularity))
+                venue = int(cdf.searchsorted(gen.random(), side="right"))
             loc = db.location_of(venue)
             jitter = gen.normal(0.0, config.position_jitter_m, size=2)
             p = db.bounds.clamp(Point(loc.x + float(jitter[0]), loc.y + float(jitter[1])))

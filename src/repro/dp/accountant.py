@@ -24,12 +24,22 @@ class PrivacyAccountant:
 
     budget: "PrivacyParams | None" = None
     _spent: list[PrivacyParams] = field(default_factory=list)
+    # Running totals of _spent, folded left to right from 0 as each spend
+    # lands: the sum BudgetLedger.spend_batch's pre-check computes, on every
+    # Python (3.12's sum() of floats is compensated and can differ).
+    _epsilon: float = field(default=0, init=False, repr=False, compare=False)
+    _delta: float = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for params in self._spent:
+            self._epsilon += params.epsilon
+            self._delta += params.delta
 
     def spend(self, epsilon: float, delta: float = 0.0, label: str = "") -> PrivacyParams:
         """Record one mechanism invocation; raises if it exceeds the budget."""
         params = PrivacyParams(epsilon, delta)
-        eps_after = self.total_epsilon + epsilon
-        delta_after = self.total_delta + delta
+        eps_after = self._epsilon + epsilon
+        delta_after = self._delta + delta
         if self.budget is not None and (
             eps_after > self.budget.epsilon + 1e-12 or delta_after > self.budget.delta + 1e-12
         ):
@@ -39,6 +49,7 @@ class PrivacyAccountant:
                 f"({self.budget.epsilon:.4g}, {self.budget.delta:.4g})"
             )
         self._spent.append(params)
+        self._epsilon, self._delta = eps_after, delta_after
         return params
 
     def try_spend(self, epsilon: float, delta: float = 0.0, label: str = "") -> bool:
@@ -61,12 +72,12 @@ class PrivacyAccountant:
     @property
     def total_epsilon(self) -> float:
         """Total epsilon under basic sequential composition."""
-        return sum(p.epsilon for p in self._spent)
+        return self._epsilon
 
     @property
     def total_delta(self) -> float:
         """Total delta under basic sequential composition."""
-        return sum(p.delta for p in self._spent)
+        return self._delta
 
     @property
     def n_invocations(self) -> int:
@@ -94,8 +105,8 @@ class PrivacyAccountant:
         if self.budget is None:
             return False
         return (
-            self.total_epsilon + epsilon > self.budget.epsilon + 1e-12
-            or self.total_delta + delta > self.budget.delta + 1e-12
+            self._epsilon + epsilon > self.budget.epsilon + 1e-12
+            or self._delta + delta > self.budget.delta + 1e-12
         )
 
     # ------------------------------------------------------------------
@@ -121,7 +132,5 @@ class PrivacyAccountant:
             if raw_budget is None
             else PrivacyParams(float(raw_budget[0]), float(raw_budget[1]))
         )
-        accountant = cls(budget=budget)
-        for entry in state.get("spent", []):
-            accountant._spent.append(PrivacyParams(float(entry[0]), float(entry[1])))
-        return accountant
+        spent = [PrivacyParams(float(e[0]), float(e[1])) for e in state.get("spent", [])]
+        return cls(budget=budget, _spent=spent)

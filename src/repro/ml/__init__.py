@@ -7,7 +7,6 @@ from repro.ml.metrics import (
     r2_score,
     root_mean_squared_error,
 )
-from repro.ml.model_selection import train_test_split
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.svc import BinarySVC, OneVsRestSVC
@@ -24,7 +23,6 @@ __all__ = [
     "GaussianNaiveBayes",
     "KernelRidge",
     "LinearSVR",
-    "train_test_split",
     "accuracy_score",
     "mean_absolute_error",
     "root_mean_squared_error",

@@ -7,6 +7,12 @@ algorithm libsvm uses — Sequential Minimal Optimization with second-order
 working-set selection (Fan, Chen & Lin, "Working Set Selection Using
 Second Order Information for Training SVM", JMLR 6, 2005) — plus a
 one-vs-rest wrapper for multiclass frequency prediction.
+
+The machines never see features: like scikit-learn's
+``kernel="precomputed"``, ``fit`` takes the ``(n, n)`` training Gram and
+``decision_function`` / ``predict`` take the ``(m, n)`` kernel between the
+test rows and all ``n`` training rows.  The caller builds each kernel
+once and every machine trained on the same rows shares it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import NotFittedError
-from repro.ml.kernels import gamma_scale, linear_kernel, rbf_kernel
 
 __all__ = ["BinarySVC", "OneVsRestSVC"]
 
@@ -22,26 +27,22 @@ __all__ = ["BinarySVC", "OneVsRestSVC"]
 _TAU = 1e-12
 
 
-def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
+def _check_gram(K: np.ndarray, y: np.ndarray) -> None:
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected a square (n, n) kernel matrix, got shape {K.shape}")
     if y.ndim != 1:
         raise ValueError(f"expected 1-d labels, got shape {y.shape}")
-    if len(X) != len(y):
-        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+    if len(K) != len(y):
+        raise ValueError(f"K has {len(K)} rows but y has {len(y)}")
 
 
 class BinarySVC:
-    """Binary soft-margin SVM with an RBF or linear kernel.
+    """Binary soft-margin SVM on a precomputed kernel.
 
     Parameters
     ----------
     C:
         Soft-margin penalty.
-    kernel:
-        ``"rbf"`` or ``"linear"``.
-    gamma:
-        RBF width; ``None`` uses the ``1 / (d * Var(X))`` heuristic.
     tol:
         Stopping tolerance on the maximal KKT violation ``m(α) - M(α)``
         (libsvm's ``eps``).
@@ -57,55 +58,36 @@ class BinarySVC:
         ``α_s y_s`` for each support vector, in ``support_`` order.
     """
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        kernel: str = "rbf",
-        gamma: "float | None" = None,
-        tol: float = 1e-3,
-        max_iter: int = 200,
-    ) -> None:
+    def __init__(self, C: float = 1.0, tol: float = 1e-3, max_iter: int = 200) -> None:
         if C <= 0:
             raise ValueError(f"C must be positive, got {C}")
-        if kernel not in ("rbf", "linear"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         if tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
         self.C = C
-        self.kernel = kernel
-        self.gamma = gamma
         self.tol = tol
         self.max_iter = max_iter
-        self._X: "np.ndarray | None" = None
+        self.support_: "np.ndarray | None" = None
         self.dual_coef_: "np.ndarray | None" = None
         self._b = 0.0
-        self._gamma_fitted = 1.0
-        self.support_: "np.ndarray | None" = None
+        self._n_train = 0
 
-    def _kernel_matrix(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        if self.kernel == "linear":
-            return linear_kernel(A, B)
-        return rbf_kernel(A, B, self._gamma_fitted)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "BinarySVC":
-        """Train on labels ``y`` in ``{-1, +1}``."""
-        X = np.asarray(X, dtype=float)
+    def fit(self, K: np.ndarray, y: np.ndarray) -> "BinarySVC":
+        """Train on the ``(n, n)`` Gram *K* and labels ``y`` in ``{-1, +1}``."""
+        K = np.asarray(K, dtype=float)
         y = np.asarray(y, dtype=float)
-        _check_shapes(X, y)
+        _check_gram(K, y)
         if set(np.unique(y)) - {-1.0, 1.0}:
             raise ValueError("labels must be in {-1, +1}")
-        n = len(X)
-        self._gamma_fitted = self.gamma if self.gamma is not None else gamma_scale(X)
+        n = len(K)
+        self._n_train = n
         if len(np.unique(y)) < 2:
             # Degenerate one-class training set: constant decision function.
-            self._X = X[:1]
-            self.dual_coef_ = np.zeros(1)
-            self._b = float(y[0]) if n else 1.0
             self.support_ = np.arange(min(n, 1))
+            self.dual_coef_ = np.zeros(len(self.support_))
+            self._b = float(y[0]) if n else 1.0
             return self
 
         C = self.C
-        K = self._kernel_matrix(X, X)
         K_diag = K.diagonal().copy()
         alpha = np.zeros(n)
         # yG = y * G for the dual gradient G = Q @ alpha - 1, where
@@ -182,10 +164,8 @@ class BinarySVC:
             ub_rows = np.where(y > 0, ~at_upper, at_upper)
             rho = (float(yG[ub_rows].min()) + float(yG[~ub_rows].max())) / 2.0
 
-        support = alpha > 0.0
-        self.support_ = np.flatnonzero(support)
-        self._X = X[support]
-        self.dual_coef_ = (alpha * y)[support]
+        self.support_ = np.flatnonzero(alpha > 0.0)
+        self.dual_coef_ = (alpha * y)[self.support_]
         self._b = -rho
         return self
 
@@ -196,19 +176,21 @@ class BinarySVC:
             raise NotFittedError("BinarySVC used before fit()")
         return len(self.dual_coef_)
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Signed margin ``f(x)`` for each row of *X*."""
-        if self._X is None or self.dual_coef_ is None:
+    def decision_function(self, K_test: np.ndarray) -> np.ndarray:
+        """Signed margin ``f(x)`` for each row of the ``(m, n)`` kernel *K_test*."""
+        if self.support_ is None or self.dual_coef_ is None:
             raise NotFittedError("BinarySVC used before fit()")
-        X = np.asarray(X, dtype=float)
-        if len(self._X) == 0:
-            return np.full(len(X), self._b)
-        K = self._kernel_matrix(X, self._X)
-        return K @ self.dual_coef_ + self._b
+        K_test = np.asarray(K_test, dtype=float)
+        if K_test.ndim != 2 or K_test.shape[1] != self._n_train:
+            raise ValueError(
+                f"expected an (m, {self._n_train}) kernel against the training rows, "
+                f"got shape {K_test.shape}"
+            )
+        return K_test[:, self.support_] @ self.dual_coef_ + self._b
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, K_test: np.ndarray) -> np.ndarray:
         """Predicted labels in ``{-1, +1}``; ties resolve to +1."""
-        return np.where(self.decision_function(X) >= 0.0, 1.0, -1.0)
+        return np.where(self.decision_function(K_test) >= 0.0, 1.0, -1.0)
 
 
 class OneVsRestSVC:
@@ -218,37 +200,33 @@ class OneVsRestSVC:
     value — the standard one-vs-rest rule.  Classes are arbitrary integers
     (here: candidate frequency values of a sanitized POI type).  A
     two-class problem trains a single machine, ``classes_[1]`` against
-    ``classes_[0]``, as libsvm does; ties go to ``classes_[0]``.
+    ``classes_[0]``, as libsvm does; ties go to ``classes_[0]``.  Every
+    machine trains on the same Gram and predicts from the same test kernel.
     """
 
-    def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: "float | None" = None) -> None:
+    def __init__(self, C: float = 1.0) -> None:
         self.C = C
-        self.kernel = kernel
-        self.gamma = gamma
         self.classes_: "np.ndarray | None" = None
         self._machines: list[BinarySVC] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsRestSVC":
-        X = np.asarray(X, dtype=float)
+    def fit(self, K: np.ndarray, y: np.ndarray) -> "OneVsRestSVC":
+        """Train on the ``(n, n)`` Gram *K* and integer class labels *y*."""
+        K = np.asarray(K, dtype=float)
         y = np.asarray(y)
-        _check_shapes(X, y)
+        _check_gram(K, y)
         self.classes_ = np.unique(y)
         positives = self.classes_[1:] if len(self.classes_) == 2 else self.classes_
         self._machines = [
-            BinarySVC(C=self.C, kernel=self.kernel, gamma=self.gamma).fit(
-                X, np.where(y == cls, 1.0, -1.0)
-            )
-            for cls in positives
+            BinarySVC(C=self.C).fit(K, np.where(y == cls, 1.0, -1.0)) for cls in positives
         ]
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, K_test: np.ndarray) -> np.ndarray:
+        """Predicted class per row of the ``(m, n)`` kernel *K_test*."""
         if self.classes_ is None:
             raise NotFittedError("OneVsRestSVC used before fit()")
-        if len(self.classes_) == 1:
-            return np.full(len(np.asarray(X)), self.classes_[0])
         if len(self.classes_) == 2:
-            scores = self._machines[0].decision_function(X)
+            scores = self._machines[0].decision_function(K_test)
             return np.where(scores > 0.0, self.classes_[1], self.classes_[0])
-        scores = np.stack([m.decision_function(X) for m in self._machines], axis=1)
+        scores = np.stack([m.decision_function(K_test) for m in self._machines], axis=1)
         return self.classes_[np.argmax(scores, axis=1)]

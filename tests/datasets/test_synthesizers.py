@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DatasetError
-from repro.datasets.foursquare import CheckinConfig, checkin_locations, synthesize_checkins
+from repro.datasets.foursquare import (
+    _WEEK_S as _CHECKIN_WEEK_S,
+    CheckinConfig,
+    checkin_locations,
+    synthesize_checkins,
+)
 from repro.datasets.tdrive import (
     _WEEK_S,
     TaxiFleetConfig,
@@ -15,7 +20,7 @@ from repro.datasets.tdrive import (
 from repro.datasets.trajectory import Trajectory, TrajectoryPoint
 from repro.geo.distance import euclidean
 from repro.geo.point import Point
-from repro.poi.cities import DEFAULT_SEED, beijing
+from repro.poi.cities import DEFAULT_SEED, beijing, new_york
 
 
 class TestTaxiSynthesis:
@@ -163,6 +168,51 @@ class TestFleetMatchesReference:
         _assert_same_bits([p.x for p in got], [p.x for p in expected])
         _assert_same_bits([p.y for p in got], [p.y for p in expected])
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def _reference_checkins(db, config, gen):
+    """``synthesize_checkins`` drawing each popular venue with ``Generator.choice``."""
+    n_pois = len(db)
+    perm = gen.permutation(n_pois)
+    weights = 1.0 / np.arange(1, n_pois + 1, dtype=float) ** config.popularity_exponent
+    popularity = np.empty(n_pois)
+    popularity[perm] = weights / weights.sum()
+    users = []
+    for user in range(config.n_users):
+        favourites = gen.choice(n_pois, size=config.favourites_per_user, replace=False, p=popularity)
+        times = np.sort(gen.uniform(0.0, _CHECKIN_WEEK_S, size=config.checkins_per_user))
+        points = []
+        for t in times:
+            if gen.uniform() < config.favourite_probability:
+                venue = int(favourites[gen.integers(0, len(favourites))])
+            else:
+                venue = int(gen.choice(n_pois, p=popularity))
+            loc = db.location_of(venue)
+            jitter = gen.normal(0.0, config.position_jitter_m, size=2)
+            p = db.bounds.clamp(Point(loc.x + float(jitter[0]), loc.y + float(jitter[1])))
+            points.append(TrajectoryPoint(p, float(t)))
+        users.append(Trajectory(user_id=user, points=tuple(points)))
+    return users
+
+
+@pytest.fixture(params=["db", "new_york"])
+def checkin_db(request):
+    if request.param == "db":
+        return request.getfixturevalue("db")
+    return new_york(DEFAULT_SEED).database
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checkins_match_the_choice_loop(checkin_db, seed):
+    """One CDF per call draws the venues ``Generator.choice`` drew."""
+    ref_gen, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _reference_checkins(checkin_db, CheckinConfig(), ref_gen)
+    got = synthesize_checkins(checkin_db, CheckinConfig(), gen)
+    assert [t.user_id for t in got] == [t.user_id for t in expected]
+    assert [len(t) for t in got] == [len(t) for t in expected]
+    for got_column, expected_column in zip(_columns(got), _columns(expected), strict=True):
+        _assert_same_bits(got_column, expected_column)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 class TestCheckinSynthesis:

@@ -1,8 +1,14 @@
 """Tests for the privacy accountant."""
 
+import functools
+import math
+import operator
+
+import numpy as np
 import pytest
 
 from repro.core.errors import PrivacyError
+from repro.dp import accountant
 from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import PrivacyParams
 
@@ -87,3 +93,62 @@ class TestPrivacyAccountant:
         assert restored.budget is None
         assert restored.total_epsilon == pytest.approx(3.0)
         assert restored.remaining_epsilon() == float("inf")
+
+
+class TestRunningTotals:
+    """Totals are the left-to-right fold of the spends, on every Python.
+
+    Python 3.12 made ``sum()`` of floats compensated, so a total taken
+    with ``sum()`` can differ in the last bit from the running sum the
+    serve ledger's ``spend_batch`` pre-check folds.
+    """
+
+    def test_ten_tenths_total_the_left_fold(self):
+        acc = PrivacyAccountant()
+        for _ in range(10):
+            acc.spend(0.1, 0.01)
+        assert acc.total_epsilon == 0.9999999999999999
+        assert acc.total_delta == functools.reduce(operator.add, [0.01] * 10, 0.0)
+        restored = PrivacyAccountant.from_state(acc.to_state())
+        assert restored.total_epsilon == 0.9999999999999999
+
+    def test_totals_ignore_a_compensated_sum(self, monkeypatch):
+        """Python 3.12's compensated ``sum()`` would total ten 0.1s as 1.0."""
+        monkeypatch.setattr(
+            accountant, "sum", lambda values, start=0: start + math.fsum(values), raising=False
+        )
+        acc = PrivacyAccountant()
+        for _ in range(10):
+            acc.spend(0.1)
+        assert acc.total_epsilon == 0.9999999999999999
+        restored = PrivacyAccountant.from_state(acc.to_state())
+        assert restored.total_epsilon == 0.9999999999999999
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_spends_total_their_left_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        epsilons = rng.uniform(1e-4, 0.3, size=400).tolist()
+        deltas = rng.uniform(0.0, 1e-4, size=400).tolist()
+        acc = PrivacyAccountant()
+        for epsilon, delta in zip(epsilons, deltas, strict=True):
+            acc.spend(epsilon, delta)
+        expected = (
+            functools.reduce(operator.add, epsilons, 0.0),
+            functools.reduce(operator.add, deltas, 0.0),
+        )
+        assert (acc.total_epsilon, acc.total_delta) == expected
+        restored = PrivacyAccountant.from_state(acc.to_state())
+        assert (restored.total_epsilon, restored.total_delta) == expected
+
+    def test_refused_spend_leaves_the_totals(self):
+        acc = PrivacyAccountant(budget=PrivacyParams(1.0, 0.0))
+        acc.spend(0.75)
+        with pytest.raises(PrivacyError):
+            acc.spend(0.5)
+        assert not acc.try_spend(0.5)
+        assert acc.total_epsilon == 0.75
+        assert acc.n_invocations == 1
+
+    def test_no_spends_total_zero(self):
+        acc = PrivacyAccountant.from_state({"budget": None, "spent": []})
+        assert (acc.total_epsilon, acc.total_delta) == (0, 0)

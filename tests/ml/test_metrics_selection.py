@@ -1,4 +1,4 @@
-"""Tests for metrics and train/test splitting."""
+"""Tests for the classification and regression metrics."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.ml.metrics import (
     r2_score,
     root_mean_squared_error,
 )
-from repro.ml.model_selection import train_test_split
 
 
 class TestMetrics:
@@ -49,40 +48,3 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mean_absolute_error(np.array([]), np.array([]))
 
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(50, 2)
-        y = np.arange(50)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_fraction=0.2, rng=0)
-        assert len(X_te) == 10 and len(X_tr) == 40
-        assert len(y_te) == 10 and len(y_tr) == 40
-
-    def test_partition_no_overlap(self):
-        X = np.arange(30).reshape(30, 1)
-        y = np.arange(30)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, rng=1)
-        assert set(y_tr.tolist()) | set(y_te.tolist()) == set(range(30))
-        assert set(y_tr.tolist()) & set(y_te.tolist()) == set()
-
-    def test_rows_stay_aligned(self):
-        X = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, rng=2)
-        for row, label in zip(X_tr, y_tr):
-            assert row[0] == 2 * label
-
-    def test_deterministic_given_rng(self):
-        X = np.arange(20).reshape(10, 2)
-        y = np.arange(10)
-        a = train_test_split(X, y, rng=7)
-        b = train_test_split(X, y, rng=7)
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_invalid_fraction_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(4), test_fraction=1.0)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(5))

@@ -1,16 +1,28 @@
-"""Tests for the SMO-trained support vector classifier."""
+"""Tests for the SMO-trained support vector classifier.
+
+The machines train and predict on precomputed kernels; :func:`_kernel`
+builds them as the machines used to, with ``gamma_scale`` of the
+training rows unless a test fixes γ.
+"""
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from repro.core.errors import NotFittedError
-from repro.ml.kernels import linear_kernel, rbf_kernel
+from repro.ml.kernels import gamma_scale, linear_kernel, rbf_kernel
 from repro.ml.metrics import accuracy_score
 from repro.ml.svc import BinarySVC, OneVsRestSVC
 
 
 _GAMMA = 0.5
+
+
+def _kernel(A, B, kernel="rbf", gamma=None):
+    """``K(A, B)`` against the training rows *B*."""
+    if kernel == "linear":
+        return linear_kernel(A, B)
+    return rbf_kernel(A, B, gamma if gamma is not None else gamma_scale(B))
 
 
 def _dual_problem(kernel, balance, seed):
@@ -22,8 +34,7 @@ def _dual_problem(kernel, balance, seed):
         y = np.where(score > np.median(score), 1.0, -1.0)
     else:
         y = np.where(score >= np.sort(score)[-4], 1.0, -1.0)
-    K = linear_kernel(X, X) if kernel == "linear" else rbf_kernel(X, X, _GAMMA)
-    return X, y, K
+    return X, y, _kernel(X, X, kernel, _GAMMA)
 
 
 def _slsqp_dual(K, y, C):
@@ -67,25 +78,28 @@ def circle_task():
 class TestBinarySVC:
     def test_separable_linear(self, linear_task):
         X, y = linear_task
-        model = BinarySVC(C=10.0, kernel="linear").fit(X, y)
-        assert accuracy_score(y, model.predict(X)) > 0.95
+        K = _kernel(X, X, "linear")
+        model = BinarySVC(C=10.0).fit(K, y)
+        assert accuracy_score(y, model.predict(K)) > 0.95
 
     def test_rbf_on_nonlinear_task(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0, kernel="rbf").fit(X, y)
-        assert accuracy_score(y, model.predict(X)) > 0.9
+        K = _kernel(X, X)
+        model = BinarySVC(C=5.0).fit(K, y)
+        assert accuracy_score(y, model.predict(K)) > 0.9
 
     def test_linear_kernel_fails_on_circle(self, circle_task):
         """The nonlinear task should separate RBF from linear decision power."""
         X, y = circle_task
-        linear = BinarySVC(C=5.0, kernel="linear").fit(X, y)
-        rbf = BinarySVC(C=5.0, kernel="rbf").fit(X, y)
-        assert accuracy_score(y, rbf.predict(X)) > accuracy_score(y, linear.predict(X))
+        K_linear, K_rbf = _kernel(X, X, "linear"), _kernel(X, X)
+        linear = BinarySVC(C=5.0).fit(K_linear, y)
+        rbf = BinarySVC(C=5.0).fit(K_rbf, y)
+        assert accuracy_score(y, rbf.predict(K_rbf)) > accuracy_score(y, linear.predict(K_linear))
 
     def test_generalisation(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0).fit(X[:300], y[:300])
-        assert accuracy_score(y[300:], model.predict(X[300:])) > 0.85
+        model = BinarySVC(C=5.0).fit(_kernel(X[:300], X[:300]), y[:300])
+        assert accuracy_score(y[300:], model.predict(_kernel(X[300:], X[:300]))) > 0.85
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -93,32 +107,48 @@ class TestBinarySVC:
 
     def test_bad_labels_raise(self):
         with pytest.raises(ValueError, match="labels"):
-            BinarySVC().fit(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]))
+            BinarySVC().fit(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]))
 
     def test_one_class_degenerate(self):
         X = np.zeros((5, 2))
         y = np.ones(5)
-        model = BinarySVC().fit(X, y)
-        assert (model.predict(np.random.default_rng(0).normal(size=(4, 2))) == 1.0).all()
+        model = BinarySVC().fit(_kernel(X, X), y)
+        test = np.random.default_rng(0).normal(size=(4, 2))
+        assert (model.predict(_kernel(test, X)) == 1.0).all()
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_one_class_decision_is_the_label(self, label):
+        """One class on a precomputed K: one zero-weight support vector, b = y."""
+        X = np.random.default_rng(1).normal(size=(6, 2))
+        model = BinarySVC().fit(_kernel(X, X), np.full(6, label))
+        np.testing.assert_array_equal(model.support_, [0])
+        np.testing.assert_array_equal(model.dual_coef_, [0.0])
+        test = np.random.default_rng(2).normal(size=(3, 2))
+        np.testing.assert_array_equal(model.decision_function(_kernel(test, X)), np.full(3, label))
 
     def test_support_vectors_subset(self, linear_task):
         X, y = linear_task
-        model = BinarySVC(C=1.0).fit(X, y)
+        model = BinarySVC(C=1.0).fit(_kernel(X, X), y)
         assert 0 < model.n_support <= len(X)
+
+    def test_keeps_no_kernel_rows(self, circle_task):
+        """A fitted machine holds vectors over its support, not kernel rows."""
+        X, y = circle_task
+        model = BinarySVC(C=5.0).fit(_kernel(X, X), y)
+        assert all(np.ndim(value) <= 1 for value in vars(model).values())
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BinarySVC(C=0.0)
-        with pytest.raises(ValueError):
-            BinarySVC(kernel="poly")
         with pytest.raises(ValueError, match="tol"):
             BinarySVC(tol=0.0)
 
     def test_decision_function_sign_matches_predict(self, circle_task):
         X, y = circle_task
-        model = BinarySVC(C=5.0).fit(X, y)
-        scores = model.decision_function(X)
-        preds = model.predict(X)
+        K = _kernel(X, X)
+        model = BinarySVC(C=5.0).fit(K, y)
+        scores = model.decision_function(K)
+        preds = model.predict(K)
         np.testing.assert_array_equal(np.where(scores >= 0, 1.0, -1.0), preds)
 
 
@@ -132,7 +162,7 @@ class TestSolverAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_slsqp_optimum(self, kernel, balance, seed):
         X, y, K = _dual_problem(kernel, balance, seed)
-        model = BinarySVC(C=self.C, kernel=kernel, gamma=_GAMMA).fit(X, y)
+        model = BinarySVC(C=self.C).fit(K, y)
         alpha = _full_alpha(model, len(y))
         Q = np.outer(y, y) * K
         objective = 0.5 * alpha @ Q @ alpha - alpha.sum()
@@ -155,10 +185,10 @@ class TestSolverAgainstReference:
         C = 1e-3 leaves every support vector at the bound, which exercises
         the midpoint fallback for the bias.
         """
-        X, y, _ = _dual_problem(kernel, "balanced", 0)
-        model = BinarySVC(C=C, kernel=kernel, gamma=_GAMMA).fit(X, y)
+        _, y, K = _dual_problem(kernel, "balanced", 0)
+        model = BinarySVC(C=C).fit(K, y)
         alpha = _full_alpha(model, len(y))
-        margins = y * model.decision_function(X)
+        margins = y * model.decision_function(K)
         free = (alpha > 0) & (alpha < C)
         assert free.any() == (C == 1.0)
         assert (margins[alpha == 0] >= 1.0 - model.tol).all()
@@ -167,40 +197,65 @@ class TestSolverAgainstReference:
 
         # libsvm's ρ: the mean of y G over the free vectors, otherwise the
         # midpoint of the bounds the bounded vectors put on it.
-        K = linear_kernel(X, X) if kernel == "linear" else rbf_kernel(X, X, _GAMMA)
         yG = y * (np.outer(y, y) * K @ alpha - 1.0)
         if free.any():
             rho = yG[free].mean()
         else:
             bounds_rho_above = np.where(y > 0, alpha < C, alpha >= C)
             rho = (yG[bounds_rho_above].min() + yG[~bounds_rho_above].max()) / 2.0
-        np.testing.assert_allclose(model.decision_function(X), K @ (alpha * y) - rho, atol=1e-9)
+        np.testing.assert_allclose(model.decision_function(K), K @ (alpha * y) - rho, atol=1e-9)
 
     def test_refits_are_bit_identical(self, circle_task):
         X, y = circle_task
-        first = BinarySVC(C=5.0).fit(X, y)
-        second = BinarySVC(C=5.0).fit(X, y)
+        K = _kernel(X, X)
+        first = BinarySVC(C=5.0).fit(K, y)
+        second = BinarySVC(C=5.0).fit(K, y)
         np.testing.assert_array_equal(first.support_, second.support_)
         np.testing.assert_array_equal(first.dual_coef_, second.dual_coef_)
-        np.testing.assert_array_equal(first.decision_function(X), second.decision_function(X))
+        np.testing.assert_array_equal(first.decision_function(K), second.decision_function(K))
+
+
+_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 class TestShapeValidation:
     @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
     def test_label_count_mismatch(self, make):
-        X = np.random.default_rng(0).normal(size=(100, 2))
-        with pytest.raises(ValueError, match="100 rows but y has 1"):
-            make().fit(X, np.array([1.0]))
+        with pytest.raises(ValueError, match="K has 100 rows but y has 1"):
+            make().fit(np.eye(100), np.array([1.0]))
 
     @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
-    def test_one_dimensional_features(self, make):
-        with pytest.raises(ValueError, match=r"2-d feature matrix, got shape \(4,\)"):
-            make().fit(np.zeros(4), np.array([1.0, -1.0, 1.0, -1.0]))
+    def test_one_dimensional_kernel(self, make):
+        with pytest.raises(ValueError, match=r"square \(n, n\) kernel matrix, got shape \(4,\)"):
+            make().fit(np.zeros(4), _LABELS)
+
+    @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
+    def test_non_square_kernel(self, make):
+        with pytest.raises(ValueError, match=r"square \(n, n\) kernel matrix, got shape \(4, 2\)"):
+            make().fit(np.zeros((4, 2)), _LABELS)
 
     @pytest.mark.parametrize("make", [BinarySVC, OneVsRestSVC])
     def test_two_dimensional_labels(self, make):
         with pytest.raises(ValueError, match=r"1-d labels, got shape \(4, 1\)"):
-            make().fit(np.zeros((4, 2)), np.ones((4, 1)))
+            make().fit(np.zeros((4, 4)), np.ones((4, 1)))
+
+    @pytest.mark.parametrize(
+        "make, labels",
+        [
+            (BinarySVC, _LABELS),
+            (BinarySVC, np.ones(4)),
+            (OneVsRestSVC, np.array([0, 1, 0, 1])),
+            (OneVsRestSVC, np.array([0, 1, 2, 0])),
+            (OneVsRestSVC, np.full(4, 3)),
+        ],
+        ids=["binary", "binary-one-class", "ovr-two-class", "ovr-three-class", "ovr-one-class"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,)])
+    def test_test_kernel_needs_n_columns(self, make, labels, shape):
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        model = make().fit(_kernel(X, X), labels)
+        with pytest.raises(ValueError, match=r"\(m, 4\) kernel against the training rows"):
+            model.predict(np.zeros(shape))
 
 
 class TestOneVsRestSVC:
@@ -208,21 +263,24 @@ class TestOneVsRestSVC:
         rng = np.random.default_rng(3)
         X = rng.uniform(-2, 2, size=(400, 2))
         y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0).astype(int)
-        model = OneVsRestSVC(C=5.0).fit(X, y)
-        assert accuracy_score(y, model.predict(X)) > 0.9
+        K = _kernel(X, X)
+        model = OneVsRestSVC(C=5.0).fit(K, y)
+        assert accuracy_score(y, model.predict(K)) > 0.9
 
     def test_predicts_known_classes_only(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(100, 2))
         y = rng.choice([3, 7, 11], size=100)
-        model = OneVsRestSVC().fit(X, y)
-        assert set(model.predict(X)).issubset({3, 7, 11})
+        K = _kernel(X, X)
+        model = OneVsRestSVC().fit(K, y)
+        assert set(model.predict(K)).issubset({3, 7, 11})
 
     def test_single_class_training(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.full(20, 5)
-        model = OneVsRestSVC().fit(X, y)
-        assert (model.predict(X) == 5).all()
+        K = _kernel(X, X)
+        model = OneVsRestSVC().fit(K, y)
+        assert (model.predict(K) == 5).all()
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -234,8 +292,9 @@ class TestOneVsRestSVC:
         X = rng.normal(size=(300, 5))
         # Target is 0 unless feature 2 is large, then 1 or 2.
         y = np.where(X[:, 2] > 1.0, np.where(X[:, 3] > 0, 2, 1), 0)
-        model = OneVsRestSVC(C=5.0).fit(X, y)
-        assert accuracy_score(y, model.predict(X)) > 0.9
+        K = _kernel(X, X)
+        model = OneVsRestSVC(C=5.0).fit(K, y)
+        assert accuracy_score(y, model.predict(K)) > 0.9
 
 
 def _quadrant_parity_task():
@@ -256,27 +315,28 @@ class TestTwoClassOneVsRest:
     @pytest.mark.parametrize("task", [_quadrant_parity_task, _imbalanced_two_class_task])
     def test_matches_argmax_of_mirror_machines(self, task):
         X, y = task()
-        model = OneVsRestSVC(C=5.0).fit(X, y)
+        K = _kernel(X, X)
+        model = OneVsRestSVC(C=5.0).fit(K, y)
         classes = np.unique(y)
-        mirrors = [BinarySVC(C=5.0).fit(X, np.where(y == cls, 1.0, -1.0)) for cls in classes]
-        scores = np.stack([m.decision_function(X) for m in mirrors], axis=1)
-        np.testing.assert_array_equal(model.predict(X), classes[np.argmax(scores, axis=1)])
+        mirrors = [BinarySVC(C=5.0).fit(K, np.where(y == cls, 1.0, -1.0)) for cls in classes]
+        scores = np.stack([m.decision_function(K) for m in mirrors], axis=1)
+        np.testing.assert_array_equal(model.predict(K), classes[np.argmax(scores, axis=1)])
 
     def test_trains_a_single_machine(self, monkeypatch):
         X, y = _quadrant_parity_task()
         calls = []
         fit = BinarySVC.fit
 
-        def counting_fit(self, X, y):
-            calls.append(len(X))
-            return fit(self, X, y)
+        def counting_fit(self, K, y):
+            calls.append(len(K))
+            return fit(self, K, y)
 
         monkeypatch.setattr(BinarySVC, "fit", counting_fit)
-        OneVsRestSVC(C=5.0).fit(X, y)
+        OneVsRestSVC(C=5.0).fit(_kernel(X, X), y)
         assert calls == [len(X)]
 
     def test_ties_resolve_to_the_first_class(self):
         X = np.zeros((6, 2))
         y = np.array([2, 9, 2, 9, 2, 9])
-        model = OneVsRestSVC().fit(X, y)
-        assert (model.predict(np.zeros((3, 2))) == 2).all()
+        model = OneVsRestSVC().fit(_kernel(X, X), y)
+        assert (model.predict(_kernel(np.zeros((3, 2)), X)) == 2).all()
