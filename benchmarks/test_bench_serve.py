@@ -14,8 +14,8 @@ Three measurements, recorded in ``BENCH_serve.json`` at the repo root:
 * **WAL growth under sustained load** — the same slice served with WAL
   compaction on (tight ``ledger_compact_every`` window) versus
   effectively off.  The compacted ledger's on-disk WAL must stay under a
-  constant bound (one compaction window plus one sealed segment) while
-  the uncompacted twin grows with the request count.
+  constant bound (one compaction window) while the uncompacted twin
+  grows with the request count.
 
 Submission is paced by backpressure: a rejected submit is retried after
 a short sleep, so the queue — not the driver loop — sets the pace and
@@ -48,7 +48,6 @@ _BUDGET = PrivacyParams(50.0, 0.0)
 #: WAL-growth arm: a tight compaction window so the sustained-load slice
 #: crosses many windows, and a generous per-record ceiling for the bound.
 _COMPACT_EVERY = 128
-_SEGMENT_MAX_BYTES = 1 << 14
 _RECORD_BYTES = 160
 
 
@@ -139,17 +138,15 @@ def test_bench_serve(benchmark, bench_scale, tmp_path):
     compacted = _run(
         db, tmp_path, "wal-compacted", 64, slice_,
         ledger_compact_every=_COMPACT_EVERY,
-        wal_segment_max_bytes=_SEGMENT_MAX_BYTES,
     )
     unbounded = _run(
         db, tmp_path, "wal-unbounded", 64, slice_,
         ledger_compact_every=10**9,
-        wal_segment_max_bytes=1 << 30,
     )
     # Without compaction the WAL carries the full spend history; with it,
-    # the footprint is one compaction window plus at most one sealed
-    # segment awaiting GC — a constant, not a function of request count.
-    wal_bound = _RECORD_BYTES * (_COMPACT_EVERY + 1) + _SEGMENT_MAX_BYTES
+    # the footprint is one compaction window — a constant, not a function
+    # of request count.
+    wal_bound = _RECORD_BYTES * (_COMPACT_EVERY + 1)
     assert compacted["wal_bytes"] <= wal_bound, (
         f"compacted WAL {compacted['wal_bytes']}B exceeds bound {wal_bound}B"
     )
@@ -174,7 +171,6 @@ def test_bench_serve(benchmark, bench_scale, tmp_path):
         "wal_growth": {
             "n_requests": len(slice_),
             "compact_every": _COMPACT_EVERY,
-            "segment_max_bytes": _SEGMENT_MAX_BYTES,
             "compacted_wal_bytes": compacted["wal_bytes"],
             "unbounded_wal_bytes": unbounded["wal_bytes"],
             "bound_bytes": wal_bound,

@@ -147,9 +147,11 @@ class VFSFile:
 
     def close(self) -> None:
         if not self.closed:
-            self._handle.flush()
-            self._handle.close()
             self.closed = True
+            # Flushes, and releases the file even when that flush fails:
+            # bytes a refused write left in Python's buffer are dropped
+            # here rather than written by a later garbage collection.
+            self._handle.close()
 
     def __enter__(self) -> "VFSFile":
         return self

@@ -2,11 +2,6 @@
 
 from repro.defense.base import Defense, NoDefense
 from repro.defense.budget import BudgetedDefense
-from repro.defense.calibration import (
-    CalibrationCandidate,
-    CalibrationResult,
-    calibrate_dp_release,
-)
 from repro.defense.cloaking import AdaptiveIntervalCloak, CloakingDefense, UserPopulation
 from repro.defense.dp_release import DPReleaseMechanism
 from repro.defense.geo_ind import GeoIndDefense
@@ -35,9 +30,6 @@ __all__ = [
     "DPReleaseMechanism",
     "LaplaceHistogramDefense",
     "BudgetedDefense",
-    "CalibrationCandidate",
-    "CalibrationResult",
-    "calibrate_dp_release",
     "jaccard_index",
     "top_k_jaccard",
     "l1_error",

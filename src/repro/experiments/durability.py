@@ -143,12 +143,12 @@ def _cache_check(ctx: dict, root: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# budget-ledger: WAL append/rotate/compact/GC under fire
+# budget-ledger: WAL append and compaction under fire
 # ----------------------------------------------------------------------
 
-#: Small enough that ~12 spends exercise append, segment rotation,
-#: snapshot compaction, and sealed-segment GC inside one run.
-_LEDGER_KW = {"compact_every": 4, "segment_max_bytes": 160}
+#: Small enough that 12 spends exercise append, snapshot compaction and
+#: the in-place WAL truncate several times inside one run.
+_LEDGER_KW = {"compact_every": 4}
 _LEDGER_BUDGET = PrivacyParams(epsilon=100.0, delta=0.0)
 _LEDGER_USERS = ("alice", "bob", "carol")
 
@@ -178,7 +178,7 @@ def _ledger_run(ctx: dict, root: Path) -> None:
 
 
 def _ledger_check(ctx: dict, root: Path) -> None:
-    # Restart: replay snapshot + sealed chain + active segment.  Any
+    # Restart: replay the snapshot, then the WAL.  Any
     # refusal to restore (mid-file corruption) fails the oracle — except
     # after a lying fsync, where refusing to start IS the documented
     # fail-safe (serve nothing rather than an inconsistent ledger).

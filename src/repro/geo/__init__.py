@@ -12,7 +12,6 @@ from repro.geo.distance import (
 from repro.geo.grid_index import GridIndex
 from repro.geo.point import EARTH_RADIUS_M, GeoPoint, Point
 from repro.geo.projection import LocalProjection
-from repro.geo.quadtree import QuadNode, QuadTree
 from repro.geo.region import DiskIntersection
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "lens_area",
     "DiskIntersection",
     "GridIndex",
-    "QuadTree",
-    "QuadNode",
     "euclidean",
     "euclidean_many",
     "pairwise_euclidean",

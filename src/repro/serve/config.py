@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
-from repro.poi.engine import ENGINE_MODES
 
 __all__ = ["ServeConfig"]
 
@@ -60,14 +59,10 @@ class ServeConfig:
         When true, completed releases are audited in bulk with
         :meth:`~repro.attacks.region.RegionAttack.run_batch` and each
         result carries whether the region attack re-identifies it.
-    engine:
-        Freq engine mode the service pins on its database
-        (:class:`~repro.poi.engine.FreqEngine`): ``"auto"`` (default,
-        radius-tiered), ``"banded"`` or ``"pyramid"``.
-    ledger_compact_every / wal_segment_max_bytes:
-        Budget-ledger WAL compaction cadence and segment-rotation size
-        (:class:`~repro.serve.ledger.BudgetLedger`); together they bound
-        ledger disk usage under sustained load.
+    ledger_compact_every:
+        Budget-ledger WAL compaction cadence
+        (:class:`~repro.serve.ledger.BudgetLedger`); it bounds ledger
+        disk usage under sustained load.
     journal_max_bytes:
         Rotate the JSONL heartbeat/audit journal at this size (``None``
         leaves it unbounded — short-lived runs and tests).
@@ -94,17 +89,11 @@ class ServeConfig:
     breaker_half_open_probes: int = 1
     heartbeat_interval_s: float = 5.0
     attack_audit: bool = False
-    engine: str = "auto"
     ledger_compact_every: int = 1024
-    wal_segment_max_bytes: int = 1 << 20
     journal_max_bytes: "int | None" = None
     disk_retry_after_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_MODES:
-            raise ConfigError(
-                f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
-            )
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.n_workers < 1:
@@ -157,10 +146,6 @@ class ServeConfig:
         if self.ledger_compact_every < 1:
             raise ConfigError(
                 f"ledger_compact_every must be >= 1, got {self.ledger_compact_every}"
-            )
-        if self.wal_segment_max_bytes < 1:
-            raise ConfigError(
-                f"wal_segment_max_bytes must be >= 1, got {self.wal_segment_max_bytes}"
             )
         if self.journal_max_bytes is not None and self.journal_max_bytes < 1:
             raise ConfigError(

@@ -6,16 +6,13 @@ exactly here: sloppy accounting across repeated queries quietly voids
 the guarantee.  The ledger therefore treats the spend record — not the
 response — as the ground truth, with a *write-ahead* discipline:
 
-1. a spend is appended to the active write-ahead-log segment
-   (``ledger.wal``) and fsynced **before** the release is computed or
-   returned;
-2. when the active segment outgrows ``segment_max_bytes`` it is sealed
-   (atomically renamed to ``ledger.wal.<NNNNNNNN>``) and a fresh active
-   segment is opened — appends stay O(append), never O(log);
-3. every ``compact_every`` appends (and on clean shutdown), the full
+1. a spend is appended to the write-ahead log (``ledger.wal``) and
+   fsynced **before** the release is computed or returned;
+2. every ``compact_every`` appends (and on clean shutdown), the full
    per-user accountant state is snapshotted to ``ledger.json`` through
-   the atomic temp-file + rename protocol, every sealed segment is
-   garbage-collected, and the active segment is truncated.
+   the atomic temp-file + rename protocol, and once the snapshot has
+   landed the WAL is truncated in place.  The disk holds one snapshot
+   and at most one compaction window of WAL records.
 
 Crash analysis, in all directions:
 
@@ -30,19 +27,22 @@ Crash analysis, in all directions:
   end-of-file damage into mid-file corruption.  Safe, because the
   corresponding release was only ever served *after* a complete,
   fsynced append.
-* killed between segment seal and reopening the active segment — the
-  restart sees the sealed segments and no active file, and simply opens
-  a fresh one.
-* killed between snapshot replace and segment GC / truncation — WAL
+* killed between the snapshot replace and the WAL truncate — WAL
   records carry monotonic sequence numbers and the snapshot stores the
   last sequence it absorbed, so replay skips records the snapshot
-  already contains.  Spends are counted exactly once, and the leftover
-  segments are GC'd by the next compaction.
+  already contains.  Spends are counted exactly once, and the next
+  compaction truncates the leftovers.
 * the disk refuses the append (``ENOSPC``/``EIO``) — nothing is
-  committed in memory, the torn tail is truncated away so later appends
-  cannot poison the log, and the caller gets a typed
-  :class:`~repro.core.errors.DiskPressureError` (the serve layer's
-  503 + Retry-After path).
+  committed in memory, the handle is dropped and the torn tail
+  truncated away so later appends cannot poison the log, and the caller
+  gets a typed :class:`~repro.core.errors.DiskPressureError` (the serve
+  layer's 503 + Retry-After path).
+
+A directory holding sealed segments (``ledger.wal.<digits>``, left by
+the segment-rotating ledger of earlier versions when it crashed before
+its next compaction) is refused with
+:class:`~repro.core.errors.LedgerIntegrityError`: replaying only
+``ledger.wal`` would skip their spends.
 
 All durable I/O routes through :mod:`repro.core.vfs`, so the disk-chaos
 suite and the crash-point sweeps exercise every window above.
@@ -72,28 +72,12 @@ from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import PrivacyParams
 from repro.ingest.atomic import atomic_write_text
 
-__all__ = ["BudgetLedger", "SNAPSHOT_NAME", "WAL_NAME", "sealed_segment_paths"]
+__all__ = ["BudgetLedger", "SNAPSHOT_NAME", "WAL_NAME"]
 
 SNAPSHOT_NAME = "ledger.json"
 WAL_NAME = "ledger.wal"
 
 _SNAPSHOT_VERSION = 1
-
-
-def sealed_segment_paths(directory: "str | Path") -> list[Path]:
-    """The sealed WAL segments under *directory*, oldest first.
-
-    Sealed segments are named ``ledger.wal.<8-digit index>``; the
-    suffix filter keeps ``ledger.wal.tmp`` (an in-flight atomic write)
-    out of replay.
-    """
-    directory = Path(directory)
-    sealed = [
-        path
-        for path in directory.glob(f"{WAL_NAME}.*")
-        if path.suffix[1:].isdigit()
-    ]
-    return sorted(sealed, key=lambda p: int(p.suffix[1:]))
 
 
 class BudgetLedger:
@@ -108,15 +92,11 @@ class BudgetLedger:
         is deterministic: the first spend that would push a user past
         the budget is refused, as is every spend after it.
     directory:
-        Where ``ledger.json`` / ``ledger.wal*`` live.  ``None`` keeps
+        Where ``ledger.json`` and ``ledger.wal`` live.  ``None`` keeps
         the ledger purely in memory (tests, ephemeral load generation).
     compact_every:
-        WAL appends between snapshot compactions.
-    segment_max_bytes:
-        Size at which the active WAL segment is sealed and rotated.
-        Bounds the worst-case replay read and keeps compaction's GC
-        incremental; disk usage stays under roughly one snapshot plus
-        ``compact_every`` records plus one segment.
+        WAL appends between snapshot compactions; disk usage stays under
+        one snapshot plus ``compact_every`` records.
     """
 
     def __init__(
@@ -124,37 +104,27 @@ class BudgetLedger:
         budget: PrivacyParams,
         directory: "str | Path | None" = None,
         compact_every: int = 1024,
-        segment_max_bytes: int = 1 << 20,
     ) -> None:
         if compact_every < 1:
             raise ConfigError(f"compact_every must be >= 1, got {compact_every}")
-        if segment_max_bytes < 1:
-            raise ConfigError(
-                f"segment_max_bytes must be >= 1, got {segment_max_bytes}"
-            )
         self._budget = budget
         self._dir = Path(directory) if directory is not None else None
         self._compact_every = compact_every
-        self._segment_max_bytes = segment_max_bytes
         self._lock = threading.Lock()
         self._accounts: dict[str, PrivacyAccountant] = {}
         self._seq = 0
-        self._snapshot_seq = 0
         self._appends_since_compact = 0
         self._wal: "VFSFile | None" = None
-        #: Byte length of the active segment's last durably-complete
-        #: record; a failed append truncates back to this offset so the
-        #: torn tail can never poison later appends.
+        #: Byte length of the WAL's last durably-complete record; a
+        #: refused append truncates back to this offset so the torn tail
+        #: can never poison later appends.
         self._wal_offset = 0
-        self._sealed: list[Path] = []
-        self._next_segment = 1
         self.n_granted = 0
         self.n_refused = 0
         if self._dir is not None:
-            vfs = get_vfs()
-            vfs.mkdir(self._dir, parents=True, exist_ok=True)
+            get_vfs().mkdir(self._dir, parents=True, exist_ok=True)
             self._restore()
-            self._open_active_segment()
+            self._open_wal()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -226,17 +196,16 @@ class BudgetLedger:
                     a.total_epsilon for a in self._accounts.values()
                 ),
                 "wal_bytes": float(self._wal_bytes_locked()),
-                "wal_segments": float(len(self._sealed) + 1 if self._dir else 0),
             }
 
     def to_state(self) -> dict[str, Any]:
         """The ledger's durable state as a canonical, comparable dict.
 
         Everything a restart restores: the sequence high-water mark, the
-        budget, and each user's accountant snapshot.  Compaction and WAL
-        rotation are invisible here — the property suite asserts
-        ``to_state()`` is bit-identical across both, including across a
-        crash planted mid-compaction.  Users whose every spend was
+        budget, and each user's accountant snapshot.  Compaction is
+        invisible here — the property suite asserts ``to_state()`` is
+        bit-identical across it, including across a crash planted
+        mid-compaction.  Users whose every spend was
         refused are omitted: a refusal commits nothing durable, so an
         empty accountant is an in-memory artifact a restart is not
         obliged to reproduce.
@@ -253,20 +222,17 @@ class BudgetLedger:
             }
 
     def wal_bytes_on_disk(self) -> int:
-        """Bytes currently held by the active + sealed WAL segments."""
+        """Bytes currently held by the WAL."""
         with self._lock:
             return self._wal_bytes_locked()
 
     def _wal_bytes_locked(self) -> int:
         if self._dir is None:
             return 0
-        total = 0
-        for path in [self._dir / WAL_NAME, *self._sealed]:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        try:
+            return (self._dir / WAL_NAME).stat().st_size
+        except OSError:
+            return 0
 
     # ------------------------------------------------------------------
     # Spending
@@ -356,15 +322,15 @@ class BudgetLedger:
                 for user_id, epsilon, delta in granted:
                     self._accounts[user_id].spend(epsilon, delta, label="serve")
                     self.n_granted += 1
-                try:
-                    self._maybe_rotate()  # poiagg: disable=PL013
-                    self._maybe_compact()  # poiagg: disable=PL013
-                except OSError:
-                    # Rotation and compaction are disk-usage
-                    # optimizations; the spends above are already durable
-                    # and committed, so disk trouble here must not turn a
-                    # granted batch into an error.  A later spend retries.
-                    pass
+                if self._appends_since_compact >= self._compact_every:
+                    try:
+                        self._compact_locked()  # poiagg: disable=PL013
+                    except OSError:
+                        # Compaction is a disk-usage optimization; the
+                        # spends above are already durable and committed,
+                        # so disk trouble here must not turn a granted
+                        # batch into an error.  A later spend retries.
+                        pass
             return outcomes
 
     def _account(self, user_id: str) -> PrivacyAccountant:
@@ -378,60 +344,58 @@ class BudgetLedger:
     # Persistence
     # ------------------------------------------------------------------
 
-    def _open_active_segment(self) -> None:
-        """(Re)open the active segment, repairing any torn tail first.
+    def _trim_tail(self) -> None:
+        """Cut the WAL back to its last durably-complete record.
 
         ``self._wal_offset`` is authoritative — it marks the end of the
         last durably-complete record (set by replay during restore,
-        advanced by successful appends, reset below after rotation and
-        compaction).  A longer file carries a torn trailing record from
-        a crash mid-append: truncate it away *before* accepting appends,
-        because a new record concatenated onto a partial line would turn
+        advanced by successful appends, reset by compaction).  A longer
+        file carries a torn trailing record from a crash or a refused
+        append: truncate it away *before* accepting appends, because a
+        new record concatenated onto a partial line would turn
         recoverable end-of-file damage into mid-file corruption.  A
-        shorter file legitimately shrank (compaction's truncate-by-
-        rewrite landed but its reopen failed): resynchronize the offset
-        to the file rather than padding the file out with NUL bytes.
-
-        On failure the WAL is left parked (``self._wal is None``) with
-        ``_wal_offset`` still marking the durable prefix, and the error
-        propagates; the parked-WAL path in ``_append_wal`` retries.
+        shorter file is trusted: resynchronize the offset to it rather
+        than pad the file out with NUL bytes.
         """
         assert self._dir is not None
         wal_path = self._dir / WAL_NAME
-        self._wal = None
         try:
-            try:
-                size = wal_path.stat().st_size
-            except FileNotFoundError:
-                size = 0
-                self._wal_offset = 0
-            if size > self._wal_offset:
-                get_vfs().truncate(wal_path, self._wal_offset)
-            elif size < self._wal_offset:
-                self._wal_offset = size
-            self._wal = get_vfs().open(wal_path, "a")
-        except OSError:
-            self._wal = None
-            raise
+            size = wal_path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if size > self._wal_offset:
+            get_vfs().truncate(wal_path, self._wal_offset)
+        else:
+            self._wal_offset = size
+
+    def _open_wal(self) -> VFSFile:
+        """Trim the WAL's torn tail, then open it for appends.
+
+        On failure the WAL stays parked (``self._wal is None``) and the
+        error propagates; the parked-WAL path in ``_append_wal`` retries.
+        """
+        assert self._dir is not None
+        self._trim_tail()
+        self._wal = get_vfs().open(self._dir / WAL_NAME, "a")
+        return self._wal
 
     def _append_wal(self, granted: Sequence[tuple[str, float, float]]) -> None:
         if self._dir is None:
             return
-        if self._wal is None:
-            # A failed repair or reopen parked the WAL (``_wal_offset``
-            # still marks the last durably-complete record).  Retry via
-            # ``_open_active_segment`` — it truncates a torn tail before
-            # accepting appends (blessing it would turn end-of-file
-            # damage into mid-file corruption) and resynchronizes to a
-            # legitimately shorter file — and refuse the batch if the
-            # disk still will not cooperate.
+        wal_path = self._dir / WAL_NAME
+        wal = self._wal
+        if wal is None:
+            # A refused append parked the WAL.  Trim before reopening
+            # (blessing a torn tail would turn end-of-file damage into
+            # mid-file corruption), and refuse the batch if the disk
+            # still will not cooperate.
             try:
-                self._open_active_segment()
+                wal = self._open_wal()
             except OSError as exc:
                 raise DiskPressureError(
                     f"WAL unavailable after failed tail repair: {exc}",
                     op="open",
-                    path=self._dir / WAL_NAME,
+                    path=wal_path,
                     errno=exc.errno,
                 ) from exc
         lines = []
@@ -446,13 +410,11 @@ class BudgetLedger:
             )
         payload = "\n".join(lines) + "\n"
         vfs = get_vfs()
-        wal_path = self._wal.path
         try:
-            self._wal.write(payload)
-            vfs.fsync(self._wal)
+            wal.write(payload)
+            vfs.fsync(wal)
         except OSError as exc:
-            # The repair may park the WAL handle, so name the path first.
-            self._repair_torn_tail()
+            self._park_wal()
             raise DiskPressureError(
                 f"WAL append refused by the disk: {exc}",
                 op="write",
@@ -463,70 +425,33 @@ class BudgetLedger:
         self._wal_offset += len(payload.encode("utf-8"))
         self._appends_since_compact += len(granted)
 
-    def _repair_torn_tail(self) -> None:
-        """Truncate the active segment back to its last complete record.
+    def _park_wal(self) -> None:
+        """Drop the WAL handle after a refused append, then trim the tail.
 
-        Best-effort (the same disk that refused the append may refuse
-        the truncate); if it fails, replay's torn-tail tolerance still
-        covers a restart, but we refuse further appends until a truncate
-        succeeds so a partial record can never be extended into a
-        mid-file corruption.
+        The handle goes first: Python may still buffer the refused
+        payload and would write it ahead of the next record.  Closing
+        drops that buffer, or writes it where the trim then cuts it.  The
+        trim is best-effort; the next append trims again before it
+        reopens.
         """
-        if self._wal is None or self._dir is None:
-            return
-        wal_path = self._dir / WAL_NAME
+        assert self._wal is not None
         try:
-            size = wal_path.stat().st_size
-            if size > self._wal_offset:
-                get_vfs().truncate(wal_path, self._wal_offset)
-            elif size < self._wal_offset:
-                # The file is shorter than the durable prefix we
-                # remember — never "repair" that by extending it with
-                # NUL padding; trust the disk and resynchronize.
-                self._wal_offset = size
-        except OSError:
-            # Reopen-before-append will retry the repair.
             self._wal.close()
-            self._wal = None
-
-    def _maybe_rotate(self) -> None:
-        if (
-            self._wal is None
-            or self._dir is None
-            or self._wal_offset < self._segment_max_bytes
-        ):
-            return
-        vfs = get_vfs()
-        wal_path = self._dir / WAL_NAME
-        sealed_path = self._dir / f"{WAL_NAME}.{self._next_segment:08d}"
-        self._wal.close()
-        # Park the handle across the rename: if the seal or the reopen
-        # fails, the next append must recover through the parked-WAL path
-        # instead of writing into a closed handle.
+        except OSError:
+            pass
         self._wal = None
         try:
-            vfs.replace(wal_path, sealed_path)
+            self._trim_tail()
         except OSError:
-            # Rotation is an optimization; under disk pressure keep
-            # appending to the oversized segment rather than failing.
-            self._open_active_segment()
-            return
-        self._sealed.append(sealed_path)
-        self._next_segment += 1
-        self._open_active_segment()
-
-    def _maybe_compact(self) -> None:
-        if self._wal is None or self._appends_since_compact < self._compact_every:
-            return
-        self._compact_locked()
+            pass
 
     def compact(self) -> None:
-        """Snapshot all accounts atomically, GC sealed segments, truncate.
+        """Snapshot all accounts atomically, then truncate the WAL.
 
         Public so the service can compact on clean shutdown.  Safe to
         call at any point: the snapshot lands via the atomic-rename
-        protocol first, and replay's sequence filter makes every
-        not-yet-GC'd segment a no-op if we crash in between.
+        protocol first, and replay's sequence filter makes every record
+        the truncate has not yet cut a no-op if we crash in between.
         """
         with self._lock:
             # Compaction must see a frozen account table, so the snapshot
@@ -538,23 +463,12 @@ class BudgetLedger:
         if self._dir is None:
             return
         self._write_snapshot()
-        # Everything sealed (and the active segment's current records)
-        # is now absorbed by the snapshot: GC the segments, truncate the
-        # active file.  A crash anywhere in here only leaves seq-filtered
-        # no-op records for replay; the next compaction re-GCs leftovers.
-        vfs = get_vfs()
-        for path in self._sealed:
-            vfs.unlink(path, missing_ok=True)
-        self._sealed = []
-        if self._wal is None:
-            return
-        self._wal.close()
-        # Park the handle before the truncate-by-rewrite: if the disk
-        # refuses it, the next append must recover through the parked-WAL
-        # path instead of writing into a closed handle.
-        self._wal = None
-        atomic_write_text(self._dir / WAL_NAME, "")
-        self._open_active_segment()
+        # The snapshot now holds every WAL record: cut the WAL in place.
+        # The append handle is O_APPEND, so the next record lands at the
+        # new end; a crash before the truncate leaves records replay
+        # skips by seq.
+        get_vfs().truncate(self._dir / WAL_NAME, 0)
+        self._wal_offset = 0
         self._appends_since_compact = 0
 
     def _write_snapshot(self) -> None:
@@ -569,7 +483,6 @@ class BudgetLedger:
             },
         }
         atomic_write_text(self._dir / SNAPSHOT_NAME, json.dumps(payload))
-        self._snapshot_seq = self._seq
 
     def close(self) -> None:
         """Compact and release the WAL handle."""
@@ -598,32 +511,25 @@ class BudgetLedger:
 
     def _restore(self) -> None:
         assert self._dir is not None
+        sealed = sorted(
+            path.name
+            for path in self._dir.glob(f"{WAL_NAME}.*")
+            if path.suffix[1:].isdigit()
+        )
+        if sealed:
+            raise LedgerIntegrityError(
+                f"ledger directory {self._dir} holds sealed WAL segments "
+                f"{', '.join(sealed)}; this ledger replays only {WAL_NAME}, so "
+                "their spends would be skipped — refusing to restore"
+            )
         snapshot_path = self._dir / SNAPSHOT_NAME
         if snapshot_path.exists():
             self._restore_snapshot(snapshot_path)
-        # Sealed segments replay oldest-first, then the active segment;
-        # only the final file of the chain may carry a torn tail (the
-        # one the dying process was appending to).
-        self._sealed = sealed_segment_paths(self._dir)
-        if self._sealed:
-            self._next_segment = int(self._sealed[-1].suffix[1:]) + 1
-        chain = list(self._sealed)
-        active = self._dir / WAL_NAME
-        active_in_chain = active.exists()
-        if active_in_chain:
-            chain.append(active)
-        self._wal_offset = 0
-        for index, path in enumerate(chain):
-            valid_prefix = self._replay_wal(
-                path, allow_torn_tail=index == len(chain) - 1
-            )
-            if active_in_chain and index == len(chain) - 1:
-                # Remember where the active segment's durable records
-                # end; _open_active_segment truncates any torn tail
-                # beyond it before the first append, so a partial line
-                # left by a crash mid-append can never be extended into
-                # mid-file corruption by the next record.
-                self._wal_offset = valid_prefix
+        wal_path = self._dir / WAL_NAME
+        if wal_path.exists():
+            # Remember where the durable records end; _open_wal trims any
+            # torn tail beyond it before the first append.
+            self._wal_offset = self._replay_wal(wal_path)
 
     def _restore_snapshot(self, path: Path) -> None:
         try:
@@ -654,25 +560,24 @@ class BudgetLedger:
             self._seq = int(payload["seq"])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise LedgerIntegrityError(f"malformed ledger snapshot {path}: {exc}") from exc
-        self._snapshot_seq = self._seq
 
-    def _replay_wal(self, path: Path, *, allow_torn_tail: bool) -> int:
-        """Replay one WAL file; returns the byte length of its durable prefix.
+    def _replay_wal(self, path: Path) -> int:
+        """Replay the WAL; returns the byte length of its durable prefix.
 
         A record is durable only when its full line *including the
         trailing newline* reached the disk — the append fsyncs the
         newline-terminated payload before the spend is committed, so a
-        line missing its newline, failing UTF-8 decode, or failing to
-        parse is a torn trailing write that was never acknowledged.
-        With ``allow_torn_tail`` (the final file of the replay chain)
-        such a tail is dropped; anywhere else it is corruption.  The
-        returned offset excludes the torn tail, so the caller can
-        truncate the active segment back to it before appending.
+        final line missing its newline, failing UTF-8 decode, or failing
+        to parse is a torn trailing write that was never acknowledged,
+        and replay drops it; anywhere else such a line is corruption.
+        Records at or below the snapshot's sequence number are already
+        in it and are skipped.  The returned offset excludes the torn
+        tail, so :meth:`_trim_tail` can cut it before the first append.
         """
         data = path.read_bytes()
         valid_prefix = 0
-        last_seq = self._seq
-        anchored = False  # has this replay chain advanced past the snapshot?
+        last_seq = self._seq  # the snapshot's high-water mark
+        anchored = False  # has replay advanced past the snapshot?
         offset = 0
         line_no = 0
         while offset < len(data):
@@ -704,7 +609,7 @@ class BudgetLedger:
                 TypeError,
                 ValueError,
             ) as exc:
-                if allow_torn_tail and is_tail:
+                if is_tail:
                     # Torn trailing append: the process died mid-write, so
                     # the corresponding release was never served.  Drop it.
                     break
@@ -712,8 +617,8 @@ class BudgetLedger:
                     f"ledger WAL {path} is corrupt at line {line_no}: {exc}"
                 ) from exc
             valid_prefix = end
-            if seq <= self._snapshot_seq or seq <= last_seq:
-                continue  # already absorbed by the snapshot (or a prior segment)
+            if seq <= last_seq:
+                continue  # already absorbed by the snapshot
             if anchored and seq != last_seq + 1:
                 raise LedgerIntegrityError(
                     f"ledger WAL {path} sequence jumps from {last_seq} to {seq} "
@@ -728,5 +633,5 @@ class BudgetLedger:
                 ) from exc
             last_seq = seq
             anchored = True
-        self._seq = max(self._seq, last_seq)
+        self._seq = last_seq
         return valid_prefix

@@ -103,9 +103,6 @@ class ReleaseService:
     ) -> None:
         self._clock = clock if clock is not None else SystemClock()
         self.config = config if config is not None else ServeConfig()
-        # Pin the configured Freq engine mode; the dispatcher's freq_batch
-        # calls route through it (auto = radius-tiered banded/pyramid).
-        database.set_engine(self.config.engine)
         self.specs = (
             specs
             if specs is not None
@@ -119,7 +116,6 @@ class ReleaseService:
             budget,
             directory=ledger_dir,
             compact_every=self.config.ledger_compact_every,
-            segment_max_bytes=self.config.wal_segment_max_bytes,
         )
         self.journal = EventLog(
             journal_path, self._clock, max_bytes=self.config.journal_max_bytes

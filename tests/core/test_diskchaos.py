@@ -53,9 +53,7 @@ def test_ledger_spends_are_typed_and_acked_spends_survive(tmp_path, seed, mix):
     vfs = FaultyVFS(plan)
     with install_vfs(vfs):
         try:
-            ledger = BudgetLedger(
-                budget, tmp_path, compact_every=5, segment_max_bytes=256
-            )
+            ledger = BudgetLedger(budget, tmp_path, compact_every=5)
         except OSError:
             return  # the disk refused startup itself: typed, clean
         for i in range(40):

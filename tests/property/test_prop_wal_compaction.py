@@ -1,10 +1,9 @@
 """Property: WAL compaction is state-preserving.
 
-For any spend sequence and any ``(compact_every, segment_max_bytes)``
-configuration, the reopened ledger's ``to_state()`` is bit-identical to
-an uncompacted twin that replayed the same sequence — compaction and
-segment rotation change the *representation* of the durable history,
-never the accounts.  The second property drives a SIGKILL into the
+For any spend sequence and any ``compact_every``, the reopened ledger's
+``to_state()`` is bit-identical to an uncompacted twin that replayed the
+same sequence — compaction changes the *representation* of the durable
+history, never the accounts.  The second property drives a SIGKILL into the
 middle of compaction itself (every durable op of ``compact()``) and
 demands the same: recovery from any torn compaction replays to the
 exact pre-crash state.
@@ -48,25 +47,14 @@ def replay(directory, spends, budget, **ledger_kw):
     spends=spend_sequences,
     budget=st.floats(min_value=0.5, max_value=20.0),
     compact_every=st.integers(min_value=1, max_value=16),
-    segment_max_bytes=st.integers(min_value=64, max_value=4096),
 )
 @settings(max_examples=60, deadline=None)
-def test_compaction_preserves_to_state(
-    tmp_path_factory, spends, budget, compact_every, segment_max_bytes
-):
+def test_compaction_preserves_to_state(tmp_path_factory, spends, budget, compact_every):
     base = tmp_path_factory.mktemp("wal-prop")
-    compacted = replay(
-        base / "compacted",
-        spends,
-        budget,
-        compact_every=compact_every,
-        segment_max_bytes=segment_max_bytes,
-    )
+    compacted = replay(base / "compacted", spends, budget, compact_every=compact_every)
     compacted.close()
-    # The twin never compacts or rotates mid-run: one giant WAL.
-    plain = replay(
-        base / "plain", spends, budget, compact_every=10**9, segment_max_bytes=1 << 30
-    )
+    # The twin never compacts mid-run: one giant WAL.
+    plain = replay(base / "plain", spends, budget, compact_every=10**9)
     live_state = plain.to_state()
 
     reopened = BudgetLedger(PrivacyParams(budget, 0.0), base / "compacted")
@@ -125,18 +113,13 @@ def test_sigkill_mid_compaction_preserves_to_state(
 def test_wal_stays_bounded_under_compaction(
     tmp_path_factory, spends, compact_every
 ):
-    """Disk usage never exceeds snapshot + one window + one segment."""
+    """The WAL never holds more than one compaction window."""
     directory = tmp_path_factory.mktemp("wal-bound") / "ledger"
-    ledger = BudgetLedger(
-        PrivacyParams(1e9, 0.0),
-        directory,
-        compact_every=compact_every,
-        segment_max_bytes=256,
-    )
+    ledger = BudgetLedger(PrivacyParams(1e9, 0.0), directory, compact_every=compact_every)
     record_bytes = 128  # generous per-record ceiling
     for i, (user, epsilon) in enumerate(spends * 3):
         ledger.spend(user, epsilon)
-        bound = record_bytes * (compact_every + 1) + 256 + 512
+        bound = record_bytes * (compact_every + 1) + 512
         assert ledger.wal_bytes_on_disk() <= bound, (i, ledger.wal_bytes_on_disk())
     total = sum(ledger.user_state(u)["spent_epsilon"] for u in USERS)
     assert math.isfinite(total) and total > 0

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
 
-from repro.core.errors import BudgetExhaustedError, ConfigError, LedgerIntegrityError
+from repro.core.errors import (
+    BudgetExhaustedError,
+    ConfigError,
+    DiskPressureError,
+    LedgerIntegrityError,
+)
+from repro.core.vfs import DurableVFS, install_vfs
 from repro.dp.mechanisms import PrivacyParams
 from repro.serve.ledger import SNAPSHOT_NAME, WAL_NAME, BudgetLedger
 
@@ -149,14 +156,11 @@ def test_complete_record_missing_newline_is_a_torn_tail(tmp_path):
 
 
 def test_parked_wal_never_nul_pads_a_shrunken_file(tmp_path):
-    """Regression: if the active file is *shorter* than the remembered
-    offset (compaction's truncate-by-rewrite landed but its reopen
-    failed), recovery must resynchronize, not extend the file with NUL
-    bytes."""
+    """Regression: if the WAL is *shorter* than the remembered offset,
+    recovery must resynchronize, not extend the file with NUL bytes."""
     ledger = BudgetLedger(BUDGET, directory=tmp_path)
     ledger.spend("alice", 1.0)
-    # Park the handle with a stale offset over an emptied file, exactly
-    # the state a failed post-compaction reopen leaves behind.
+    # Park the handle with a stale offset over an emptied file.
     ledger._wal.close()
     ledger._wal = None
     (tmp_path / WAL_NAME).write_text("", encoding="utf-8")
@@ -193,13 +197,74 @@ def test_compact_then_stale_wal_replays_exactly_once(tmp_path):
     assert reborn.remaining("alice")[0] == pytest.approx(1.0)
 
 
+class _BufferingFullDisk(DurableVFS):
+    """A full disk as Python's buffered files meet it: the record reaches
+    the file object's buffer, the flush to the OS fails with ENOSPC, and
+    the buffer keeps the bytes for the next flush."""
+
+    def _write(self, fh, data):
+        fh._handle.write(data)
+        raise OSError(errno.ENOSPC, "No space left on device", str(fh.path))
+
+
+def test_refused_append_is_not_written_ahead_of_the_next_record(tmp_path):
+    """Regression: a refused append left its payload in the WAL handle's
+    buffer, the next append flushed it ahead of its own record under the
+    same sequence number, and replay skipped the acknowledged spend."""
+    ledger = BudgetLedger(BUDGET, directory=tmp_path)
+    ledger.spend("alice", 1.0)
+    with install_vfs(_BufferingFullDisk()):
+        with pytest.raises(DiskPressureError):
+            ledger.spend("alice", 1.0)
+    ledger.spend("bob", 1.0)
+    records = [
+        json.loads(line)
+        for line in (tmp_path / WAL_NAME).read_text(encoding="utf-8").splitlines()
+    ]
+    assert [(r["seq"], r["user"]) for r in records] == [(1, "alice"), (2, "bob")]
+    reborn = BudgetLedger(BUDGET, directory=tmp_path)
+    assert reborn.user_state("alice")["spent_epsilon"] == 1.0
+    assert reborn.user_state("bob")["spent_epsilon"] == 1.0
+
+
+def test_sealed_segments_refuse_to_restore(tmp_path):
+    """A segment-rotating ledger that crashed before its next compaction
+    left sealed segments; replaying only the WAL would skip their spends."""
+    with BudgetLedger(BUDGET, directory=tmp_path) as ledger:
+        ledger.spend("alice", 1.0)
+    segment = tmp_path / f"{WAL_NAME}.00000001"
+    segment.write_text('{"seq":2,"user":"alice","eps":1.0,"delta":0.0}\n', encoding="utf-8")
+    with pytest.raises(LedgerIntegrityError, match=r"ledger\.wal\.00000001"):
+        BudgetLedger(BUDGET, directory=tmp_path)
+
+
+def test_leftover_wal_temp_file_is_ignored(tmp_path):
+    """``ledger.wal.tmp`` was the old compaction's rewrite, not a segment."""
+    with BudgetLedger(BUDGET, directory=tmp_path) as ledger:
+        ledger.spend("alice", 1.0)
+    leftover = tmp_path / f"{WAL_NAME}.tmp"
+    leftover.write_text('{"seq":2,"user":"alice","eps":1.0,"delta":0.0}\n', encoding="utf-8")
+    reborn = BudgetLedger(BUDGET, directory=tmp_path)
+    assert reborn.remaining("alice")[0] == pytest.approx(2.0)
+
+
 def test_compaction_triggers_by_append_count(tmp_path):
+    """Compaction snapshots, then truncates the same WAL file in place."""
     ledger = BudgetLedger(BUDGET, directory=tmp_path, compact_every=2)
+    wal = tmp_path / WAL_NAME
+    inode = wal.stat().st_ino
     ledger.spend("alice", 0.5)
     ledger.spend("alice", 0.5)
     snapshot = json.loads((tmp_path / SNAPSHOT_NAME).read_text(encoding="utf-8"))
     assert snapshot["seq"] == 2
-    assert (tmp_path / WAL_NAME).read_text(encoding="utf-8") == ""
+    assert wal.read_text(encoding="utf-8") == ""
+    assert wal.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [SNAPSHOT_NAME, WAL_NAME]
+    ledger.spend("bob", 1.0)  # the open append handle writes at the new end
+    assert wal.read_text(encoding="utf-8").count("\n") == 1
+    reborn = BudgetLedger(BUDGET, directory=tmp_path)
+    assert reborn.remaining("alice")[0] == pytest.approx(2.0)
+    assert reborn.remaining("bob")[0] == pytest.approx(2.0)
 
 
 def test_budget_mismatch_refuses_to_restore(tmp_path):
