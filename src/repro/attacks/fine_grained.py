@@ -66,12 +66,14 @@ class FineGrainedOutcome:
 
     def region(self, n_aux: "int | None" = None) -> "DiskIntersection | None":
         """The feasible region using the first *n_aux* anchors (all by default)."""
+        if n_aux is not None and n_aux < 0:
+            raise AttackError(f"n_aux must be non-negative, got {n_aux}")
         if not self.success or self.major_anchor is None:
             return None
         use = self.anchors if n_aux is None else self.anchors[:n_aux]
-        base_disk = Disk(self._db.location_of(self.major_anchor), self.radius)
-        constraints = tuple(Disk(self._db.location_of(a), self.radius) for a in use)
-        return DiskIntersection(base_disk, constraints)
+        (bx, by), *centres = self._db.positions[[self.major_anchor, *use]].tolist()
+        constraints = tuple(Disk(Point(x, y), self.radius) for x, y in centres)
+        return DiskIntersection(Disk(Point(bx, by), self.radius), constraints)
 
     def search_area_m2(self, n_aux: "int | None" = None, n_samples: int = 20_000, rng: RngLike = None) -> float:
         """Monte-Carlo search area in square meters; NaN when unsuccessful."""

@@ -50,11 +50,24 @@ class Disk:
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw *n* uniform points inside the disk as an ``(n, 2)`` array."""
-        theta = rng.uniform(0.0, 2 * math.pi, size=n)
-        rad = self.radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+        theta, rad = _polar_draws(self.radius, n, rng)
         return np.column_stack(
             [self.center.x + rad * np.cos(theta), self.center.y + rad * np.sin(theta)]
         )
+
+
+def _polar_draws(
+    radius: float, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bearings and distances of *n* uniform points in a disk of *radius*.
+
+    The bearings ``theta`` in ``[0, 2*pi)`` are drawn first, then the
+    distances ``radius * sqrt(U)``.  Every sampler of disk points draws
+    through here, so they consume a generator identically.
+    """
+    theta = rng.uniform(0.0, 2 * math.pi, size=n)
+    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+    return theta, rad
 
 
 def covers(outer: Disk, inner: Disk) -> bool:

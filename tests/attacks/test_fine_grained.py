@@ -8,7 +8,7 @@ import pytest
 from repro.attacks.base import Release
 from repro.attacks.fine_grained import FineGrainedAttack
 from repro.attacks.region import RegionAttack
-from repro.core.errors import AttackError
+from repro.core.errors import AttackError, GeometryError
 from repro.core.rng import derive_rng
 from repro.experiments.scale import DEFAULT_SEED
 from repro.poi.cities import beijing, small_city
@@ -190,6 +190,37 @@ class TestSearchArea:
         else:
             pytest.skip("no unique target found")
 
+    def test_negative_n_aux_raises(self, city, db):
+        outcome, target = _anchored_outcome(city, db)
+        with pytest.raises(AttackError):
+            outcome.region(-1)
+        with pytest.raises(AttackError):
+            outcome.search_area_m2(n_aux=-1, n_samples=1_000, rng=0)
+        with pytest.raises(AttackError):
+            outcome.contains(target, n_aux=-1)
+
+    def test_region_disks_sit_on_the_anchors(self, city, db):
+        outcome, _ = _anchored_outcome(city, db)
+        region = outcome.region(2)
+        assert region.base.center == db.location_of(outcome.major_anchor)
+        assert [d.center for d in region.constraints] == [
+            db.location_of(a) for a in outcome.anchors[:2]
+        ]
+        assert {region.base.radius, *(d.radius for d in region.constraints)} == {outcome.radius}
+
+
+def _anchored_outcome(city, db, r=700.0):
+    """A successful outcome with at least two anchors, and its target."""
+    attack = FineGrainedAttack(db, max_aux=20)
+    rng = derive_rng(14, "anchored")
+    box = city.interior(r)
+    for _ in range(40):
+        target = box.sample_point(rng)
+        outcome = attack.run(Release(db.freq(target, r), r))
+        if outcome.success and len(outcome.anchors) >= 2:
+            return outcome, target
+    pytest.skip("no unique target with two anchors found")
+
 
 class TestSoundOnlyVariant:
     def test_sound_only_always_contains_target(self, city, db):
@@ -237,6 +268,12 @@ class TestPointEstimate:
                 assert region.contains(estimate)
                 return
         pytest.skip("no unique target found")
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_non_positive_sample_count_raises(self, city, db, n_samples):
+        outcome, _ = _anchored_outcome(city, db)
+        with pytest.raises(GeometryError):
+            outcome.point_estimate(n_samples=n_samples, rng=0)
 
 
 MODES = (

@@ -2,12 +2,58 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.errors import GeometryError
+from repro.core.rng import as_generator
 from repro.geo.disk import Disk, lens_area
 from repro.geo.point import Point
 from repro.geo.region import DiskIntersection
+
+
+def _reference_points(base, n_samples, gen):
+    """The estimator's draws: every sample's coordinates, as an ``(n, 2)`` array."""
+    theta = gen.uniform(0.0, 2 * math.pi, size=n_samples)
+    rad = base.radius * np.sqrt(gen.uniform(0.0, 1.0, size=n_samples))
+    return np.column_stack(
+        [base.center.x + rad * np.cos(theta), base.center.y + rad * np.sin(theta)]
+    )
+
+
+def _reference_inside(disk, pts):
+    dx = pts[:, 0] - disk.center.x
+    dy = pts[:, 1] - disk.center.y
+    return dx * dx + dy * dy <= disk.radius * disk.radius
+
+
+def _reference_area(region, n_samples=20_000, rng=None):
+    """Every sample tested against every disk, which ``DiskIntersection.area`` must match."""
+    if n_samples <= 0:
+        raise GeometryError(f"n_samples must be positive, got {n_samples}")
+    if not region.constraints:
+        return region.base.area
+    gen = as_generator(rng)
+    pts = _reference_points(region.base, n_samples, gen)
+    keep = np.ones(n_samples, dtype=bool)
+    for d in region.constraints:
+        keep &= _reference_inside(d, pts)
+        if not keep.any():
+            return 0.0
+    return region.base.area * float(keep.mean())
+
+
+def _reference_centroid(region, n_samples=20_000, rng=None):
+    """The loop form of ``DiskIntersection.centroid``."""
+    gen = as_generator(rng)
+    pts = _reference_points(region.base, n_samples, gen)
+    keep = np.ones(n_samples, dtype=bool)
+    for d in region.constraints:
+        keep &= _reference_inside(d, pts)
+    if not keep.any():
+        return None
+    sel = pts[keep]
+    return Point(float(sel[:, 0].mean()), float(sel[:, 1].mean()))
 
 
 class TestDiskIntersection:
@@ -62,3 +108,14 @@ class TestDiskIntersection:
         region = DiskIntersection(Disk(Point(0, 0), 1.0))
         with pytest.raises(GeometryError):
             region.area(n_samples=0)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_centroid_rejects_non_positive_sample_counts(self, n_samples):
+        region = DiskIntersection(Disk(Point(0, 0), 1.0), (Disk(Point(0.5, 0), 1.0),))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(GeometryError):
+            region.centroid(n_samples=n_samples, rng=gen)
+        with pytest.raises(GeometryError):
+            region.area(n_samples=n_samples, rng=gen)
+        assert gen.bit_generator.state == state
