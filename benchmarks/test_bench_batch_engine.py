@@ -9,7 +9,7 @@ their frequency vectors, attack every release — two ways:
   work the old ``_poi_freq_cache`` dict did.
 * **batch engine**: ``db.freq_batch`` for the targets plus
   ``RegionAttack.run_batch``, which groups releases by anchor type and
-  fills the shared per-radius anchor matrix in vectorized passes.
+  fills the per-radius anchor rows in vectorized passes.
 
 Asserts the two paths produce identical outcomes and that the batch
 engine is at least 5x faster **at every radius** — including the 4 km

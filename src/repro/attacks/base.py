@@ -7,7 +7,7 @@ The unified attack API is built around two pieces:
   (true location, timestamp) carried for evaluation and tracking.
 * :class:`Attack` — the protocol every re-identification attack conforms
   to: ``run(release)`` for one release and ``run_batch(releases)`` for
-  many, where the batch path may share work (anchor matrices, grouped
+  many, where the batch path may share work (anchor rows, grouped
   domination checks) but must produce outcomes bit-identical to the scalar
   loop.
 

@@ -15,7 +15,7 @@ The pruning rule has no false negatives: if the released vector is the true
 ``Freq(l, r)``, the anchor POI actually within ``r`` of ``l`` always
 survives, so a unique survivor is always the right one.
 
-Pruning is evaluated against the database's anchor frequency matrix
+Pruning is evaluated against the database's anchor frequency rows
 (:meth:`~repro.poi.database.POIDatabase.anchor_freqs`), so one candidate
 set costs a single ``(k, M) >= (M,)`` broadcast; :meth:`RegionAttack.run_batch`
 additionally groups releases by anchor type and radius so a whole batch
@@ -24,7 +24,8 @@ shares the anchor rows and the domination broadcast.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +45,23 @@ __all__ = ["RegionAttack"]
 #: Upper bound on the ``releases x candidates x types`` broadcast size per
 #: grouped domination check; larger groups are processed in chunks.
 _MAX_BROADCAST_ELEMS = 8_000_000
+
+
+def _runs(sizes: list[int], limit: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` runs of *sizes*, each summing to at most *limit*."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > limit:
+            yield start, i
+            start, total = i, 0
+        total += size
+    yield start, len(sizes)
+
+
+def _check_radius(radius: float) -> None:
+    """Reject a non-positive, infinite or NaN release radius."""
+    if not 0 < radius < math.inf:
+        raise AttackError(f"radius must be finite and positive, got {radius}")
 
 
 class RegionAttack:
@@ -78,8 +96,7 @@ class RegionAttack:
         Returns ``(anchor_type, surviving_poi_indices)``.  ``anchor_type``
         is ``None`` when the vector has no non-zero entry.
         """
-        if radius <= 0:
-            raise AttackError(f"radius must be positive, got {radius}")
+        _check_radius(radius)
         freq_vector = validate_frequency_vector(
             freq_vector, n_types=self._db.n_types, context="region attack input"
         )
@@ -118,7 +135,7 @@ class RegionAttack:
         selects every anchor type with one masked ``argmin``, and evaluates
         each (anchor type, radius) group's pruning with a single
         ``(g, 1, M)`` versus ``(1, k, M)`` domination broadcast over the
-        shared anchor matrix.
+        shared anchor rows.
         """
         releases = list(releases)
         for rel in releases:
@@ -126,8 +143,7 @@ class RegionAttack:
                 raise AttackError(
                     f"run_batch expects Release objects, got {type(rel).__name__}"
                 )
-            if rel.radius <= 0:
-                raise AttackError(f"radius must be positive, got {rel.radius}")
+            _check_radius(rel.radius)
         if not releases:
             return []
         stacked = self._stack_valid([rel.frequency_vector for rel in releases])
@@ -140,7 +156,7 @@ class RegionAttack:
             ]
 
         # Released counts are disk point totals, so they fit int32 in any
-        # realistic city; matching the bound/anchor matrices' dtype keeps
+        # realistic city; matching the bound and anchor rows' dtype keeps
         # the domination comparisons below upcast-free.  A fractional
         # vector keeps its dtype: truncating 0.4 to 0 would drop a present
         # type, and the outcome would differ from ``run``'s.
@@ -165,9 +181,8 @@ class RegionAttack:
             else:
                 groups.setdefault((int(anchor_types[i]), float(rel.radius)), []).append(i)
 
-        # Sandwich every group between the sound Freq bounds — evaluated for
-        # all of a radius's groups in one concatenated call — then warm each
-        # radius's anchor matrix with one union fill of only the rows whose
+        # Sandwich every group between the sound Freq bounds, then warm each
+        # radius's anchor rows with one union fill of only the rows whose
         # outcome the bounds leave undecided.
         sized_by_radius: dict[float, list] = {}
         for (anchor_type, radius), rows in groups.items():
@@ -183,27 +198,34 @@ class RegionAttack:
             )
 
         for radius, entries in sized_by_radius.items():
-            cat = np.concatenate([c for _, _, c in entries])
-            offs = np.concatenate([[0], np.cumsum([len(c) for _, _, c in entries])])
-            upper = self._db.freq_bounds(2 * radius, cat)
-            lower = self._db.freq_bounds(2 * radius, cat, side="lower")
-
-            # Per-group rectangle broadcasts decide most pairs from the
-            # bounds alone; the undecided band pairs are pooled across all
-            # of the radius's groups for one exact pass below.
+            # Consecutive groups share one bound evaluation, in runs of at
+            # most as many candidates as the radius's largest group: few
+            # calls, and no more bound rows alive at once than that group
+            # needs on its own.  Per-group rectangle broadcasts then decide
+            # most pairs from the bounds alone; the undecided band pairs are
+            # pooled across all of the radius's groups for one exact pass.
             doms = []
             band_rel, band_cand, band_flat = [], [], []
-            for (anchor_type, rows, c), o0, o1 in zip(entries, offs[:-1], offs[1:]):
-                dom, band = self._bound_pruning(
-                    upper[o0:o1], lower[o0:o1], stacked[rows]
-                )
-                doms.append(dom)
-                flat = np.flatnonzero(band)
-                if len(flat):
-                    rows_arr = np.asarray(rows, dtype=np.intp)
-                    band_rel.append(rows_arr[flat // len(c)])
-                    band_cand.append(c[flat % len(c)])
-                band_flat.append(flat)
+            sizes = [len(c) for _, _, c in entries]
+            for start, stop in _runs(sizes, max(sizes)):
+                run = entries[start:stop]
+                cat = np.concatenate([c for _, _, c in run])
+                upper = self._db.freq_bounds(2 * radius, cat)
+                lower = self._db.freq_bounds(2 * radius, cat, side="lower")
+                offset = 0
+                for _, rows, c in run:
+                    end = offset + len(c)
+                    dom, band = self._bound_pruning(
+                        upper[offset:end], lower[offset:end], stacked[rows]
+                    )
+                    offset = end
+                    doms.append(dom)
+                    flat = np.flatnonzero(band)
+                    if len(flat):
+                        rows_arr = np.asarray(rows, dtype=np.intp)
+                        band_rel.append(rows_arr[flat // len(c)])
+                        band_cand.append(c[flat % len(c)])
+                    band_flat.append(flat)
 
             # Only band pairs pay for exact anchor rows; their union is
             # filled once per radius and compared pairwise in one pass.

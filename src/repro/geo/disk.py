@@ -30,8 +30,10 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise GeometryError(f"disk radius must be non-negative, got {self.radius}")
+        if not 0 <= self.radius < math.inf:
+            raise GeometryError(
+                f"disk radius must be finite and non-negative, got {self.radius}"
+            )
 
     @property
     def area(self) -> float:

@@ -11,6 +11,7 @@ filter over their members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,12 @@ from repro.core.errors import GeometryError
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
 
-__all__ = ["GridIndex", "DiskColumnPlan"]
+__all__ = ["GridIndex", "DiskColumnPlan", "POOL_BUDGET"]
+
+#: Most candidate-pool entries one vectorized distance filter gathers at
+#: once.  :meth:`GridIndex.query_batch` splits its batch into runs of
+#: column pairs within it, and the FreqEngine sizes its query chunks to it.
+POOL_BUDGET = 4_000_000
 
 #: Smallest normal float64 — below it, squared distances lose precision.
 _TINY = np.finfo(np.float64).tiny
@@ -66,6 +72,12 @@ class DiskColumnPlan:
     ohi: np.ndarray  #: (n_pairs,) intp — last cell row that can intersect
     ilo: np.ndarray  #: (n_pairs,) intp — first fully-inside cell row
     ihi: np.ndarray  #: (n_pairs,) intp — last fully-inside cell row
+
+
+def _check_radius(radius: float) -> None:
+    """Reject a negative, infinite or NaN query radius."""
+    if not 0 <= radius < math.inf:
+        raise GeometryError(f"radius must be finite and non-negative, got {radius}")
 
 
 def _disk_keep(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
@@ -272,8 +284,7 @@ class GridIndex:
         q = np.asarray(xy, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise GeometryError(f"expected (q, 2) query centers, got shape {q.shape}")
-        if radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {radius}")
+        _check_radius(radius)
         cx0 = np.maximum(0, ((q[:, 0] - radius - self._bounds.min_x) / self._cell).astype(np.intp))
         cx1 = np.minimum(
             self._nx - 1, ((q[:, 0] + radius - self._bounds.min_x) / self._cell).astype(np.intp)
@@ -299,8 +310,7 @@ class GridIndex:
         q = np.asarray(xy, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise GeometryError(f"expected (q, 2) query centers, got shape {q.shape}")
-        if radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {radius}")
+        _check_radius(radius)
         # Shrink the half-side by one ulp-scale factor so float rounding can
         # never admit a corner at distance > radius.
         s = radius / np.sqrt(2.0) * (1.0 - 1e-12)
@@ -347,8 +357,7 @@ class GridIndex:
         q = np.asarray(xy, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise GeometryError(f"expected (q, 2) query centers, got shape {q.shape}")
-        if radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {radius}")
+        _check_radius(radius)
         nq = len(q)
         cx0, cx1, cy0, cy1 = self.cell_ranges(q, radius)
         spans = np.where((cx1 >= cx0) & (cy1 >= cy0), cx1 - cx0 + 1, 0)
@@ -434,8 +443,7 @@ class GridIndex:
 
     def query_radius(self, center: Point, radius: float) -> np.ndarray:
         """Indices of points within *radius* meters of *center* (inclusive)."""
-        if radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {radius}")
+        _check_radius(radius)
         cand = self._candidates_in_box(
             center.x - radius, center.y - radius, center.x + radius, center.y + radius
         )
@@ -463,29 +471,32 @@ class GridIndex:
         the order :meth:`query_radius` would return them.
 
         The batch is answered without any per-query Python loop: cell
-        ranges are computed for all queries at once, every query's
+        ranges are computed for all queries at once, and every query's
         contiguous ``(cx, cy0..cy1)`` column slices are flattened into one
-        ``(query, column)`` pair list expanded in owner-major order — so
-        the gathered pool needs no sort to match the scalar layout — and a
-        single distance filter runs over the whole candidate pool.
-        Callers with very large batches should chunk them to bound the
-        candidate pool's memory (see ``POIDatabase.freq_batch``).
+        ``(query, column)`` pair list in owner-major order — so the
+        gathered pool needs no sort to match the scalar layout.  The pool
+        is bounded here, not by the caller: each pair's slice length is
+        known before anything is gathered, so the pairs are split into
+        consecutive runs of at most :data:`POOL_BUDGET` pool entries
+        (a single larger pair runs alone), and one distance filter runs
+        per run.  Runs keep the pair order, so the result does not depend
+        on where the batch was split.
         """
         q = np.asarray(xy, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise GeometryError(f"expected (q, 2) query centers, got shape {q.shape}")
-        if radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {radius}")
+        _check_radius(radius)
         nq = len(q)
         empty = np.empty(0, dtype=np.intp)
+        offsets = np.zeros(nq + 1, dtype=np.intp)
         if nq == 0 or len(self._xy) == 0:
-            return empty, np.zeros(nq + 1, dtype=np.intp)
+            return empty, offsets
 
         cx0, cx1, cy0, cy1 = self.cell_ranges(q, radius)
         spans = np.where((cx1 >= cx0) & (cy1 >= cy0), cx1 - cx0 + 1, 0)
         n_pairs = int(spans.sum())
         if n_pairs == 0:
-            return empty, np.zeros(nq + 1, dtype=np.intp)
+            return empty, offsets
 
         # Flatten every query's cell columns into (query, column) pairs,
         # ordered by query then ascending column: expanding their slices in
@@ -497,34 +508,42 @@ class GridIndex:
         cx = cx0[qidx] + rel_col
         # Cells (cx, cy0..cy1) are contiguous in the flat layout.
         lo = self._start[cx * self._ny + cy0[qidx]]
-        hi = self._start[cx * self._ny + cy1[qidx] + 1]
-        lengths = hi - lo
-        total = int(lengths.sum())
-        if total == 0:
-            return empty, np.zeros(nq + 1, dtype=np.intp)
-        # The pool can reach millions of entries; 32-bit positions halve the
-        # memory traffic of the expansion whenever they suffice.
-        pool_dtype = np.int32 if total < np.iinfo(np.int32).max else np.intp
-        out_start = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        pos = np.arange(total, dtype=pool_dtype)
-        pos += np.repeat((lo - out_start).astype(pool_dtype), lengths)
-        owners = np.repeat(qidx.astype(pool_dtype), lengths)
-
-        # Same hypot-exact filter as the scalar path, evaluated on the
-        # pre-permuted coordinate arrays so the pool is filtered before
-        # any point-index gather.
+        lengths = self._start[cx * self._ny + cy1[qidx] + 1] - lo
+        ends = np.cumsum(lengths)
+        # 32-bit positions halve the memory traffic of the expansion
+        # whenever they suffice.
+        pool_dtype = np.int32 if len(self._xy) < np.iinfo(np.int32).max else np.intp
         qx = np.ascontiguousarray(q[:, 0])
         qy = np.ascontiguousarray(q[:, 1])
-        dx = self._xord[pos]
-        dx -= qx[owners]
-        dy = self._yord[pos]
-        dy -= qy[owners]
-        keep = _disk_keep(dx, dy, radius)
-        points = self._order[pos[keep]]
-        owners = owners[keep]
-        offsets = np.zeros(nq + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owners, minlength=nq), out=offsets[1:])
-        return points.astype(np.intp, copy=False), offsets
+        points: list[np.ndarray] = []
+        counts = np.zeros(nq, dtype=np.intp)
+        start = 0
+        while start < n_pairs:
+            before = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, before + POOL_BUDGET, side="right")))
+            total = int(ends[stop - 1]) - before
+            if total:
+                run = lengths[start:stop]
+                out_start = np.concatenate([[0], np.cumsum(run)[:-1]])
+                pos = np.arange(total, dtype=pool_dtype)
+                pos += np.repeat((lo[start:stop] - out_start).astype(pool_dtype), run)
+                owners = np.repeat(qidx[start:stop].astype(pool_dtype), run)
+                # Same hypot-exact filter as the scalar path, evaluated on
+                # the pre-permuted coordinate arrays so the pool is filtered
+                # before any point-index gather.
+                dx = self._xord[pos]
+                dx -= qx[owners]
+                dy = self._yord[pos]
+                dy -= qy[owners]
+                keep = _disk_keep(dx, dy, radius)
+                points.append(self._order[pos[keep]])
+                counts += np.bincount(owners[keep], minlength=nq)
+            start = stop
+        np.cumsum(counts, out=offsets[1:])
+        if not points:
+            return empty, offsets
+        indices = points[0] if len(points) == 1 else np.concatenate(points)
+        return indices.astype(np.intp, copy=False), offsets
 
     def query_box(self, box: BBox) -> np.ndarray:
         """Indices of points inside *box* (inclusive boundaries)."""

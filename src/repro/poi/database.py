@@ -134,16 +134,14 @@ class POIDatabase:
             np.flatnonzero(type_ids == t) for t in range(len(vocabulary))
         ]
         # Freq evaluated at a POI is re-used heavily by the attacks (every
-        # candidate pruning step asks for Freq(p, 2r)); memoise those as one
-        # (n_pois, M) anchor matrix per queried radius, filled lazily in
+        # candidate pruning step asks for Freq(p, 2r)); memoise the rows
+        # actually asked for, per queried radius, filled lazily in
         # vectorized batches (see :meth:`anchor_freqs`).
-        self._anchor_matrices: dict[float, np.ndarray] = {}
-        self._anchor_ready: dict[float, np.ndarray] = {}
+        self._anchor_rows: dict[float, _AnchorRows] = {}
         # Radius-independent 2-D prefix sums of per-cell type histograms,
         # backing the sound Freq bounds (:meth:`freq_bounds`) and the
         # engine's pyramid tier.
         self._cell_prefix: np.ndarray | None = None
-        self._bound_matrices: dict[tuple[float, str], np.ndarray] = {}
         # Type ids pre-permuted into the grid's bucket order, so the band
         # kernels histogram pool entries without a point-index gather.
         self._types_ord: np.ndarray | None = None
@@ -281,31 +279,31 @@ class POIDatabase:
     def anchor_freqs(
         self, radius: float, indices: "Sequence[int] | np.ndarray | None" = None
     ) -> np.ndarray:
-        """The anchor frequency matrix: ``Freq(p_i, radius)`` for POIs ``p_i``.
+        """Anchor frequency rows: ``Freq(p_i, radius)`` for POIs ``p_i``.
 
         The attacks evaluate ``Freq(p, 2r)`` for every candidate anchor POI
         ``p``; those anchors repeat across targets, so the database keeps
-        one ``(n_pois, M)`` int64 matrix per queried radius and fills its
-        rows lazily in vectorized batches.  With *indices* (an array of POI
-        indices), only those rows are guaranteed computed and the
-        ``(len(indices), M)`` row block is returned; without it the full
-        matrix is materialised.  Returned arrays are read-only.
+        every row it has computed, per queried radius, and fills the
+        missing ones in one vectorized engine call.  With *indices* (an
+        array of POI indices) the ``(len(indices), M)`` int32 row block is
+        returned; without it every row is filled and the full
+        ``(n_pois, M)`` matrix is returned.  Either is a fresh read-only
+        gather: memory grows with the rows the callers read, not with the
+        city.
         """
-        mat, ready = self._anchor_state(radius)
+        store = self._anchor_store(radius)
         if indices is None:
-            missing = np.flatnonzero(~ready)
-        else:
-            indices = np.asarray(indices, dtype=np.intp)
-            missing = np.unique(indices[~ready[indices]])
+            indices = np.arange(len(self._xy))
+        indices = np.asarray(indices, dtype=np.intp)
+        missing = store.missing(indices)
         if len(missing):
-            mat[missing] = self._engine.freq_batch(
-                self._xy[missing], radius, op="anchor_freqs"
+            store.add(
+                missing, self._engine.freq_batch(self._xy[missing], radius, op="anchor_freqs")
             )
-            ready[missing] = True
-        block = mat if indices is None else mat[indices]
-        view = block.view()
-        view.flags.writeable = False
-        return view
+            self._anchor_rows[float(radius)] = store
+        block = store.take(indices)
+        block.flags.writeable = False
+        return block
 
     def freq_bounds(
         self,
@@ -323,27 +321,19 @@ class POIDatabase:
 
         Both come from radius-independent 2-D prefix sums of per-cell type
         histograms — four ``(n, M)`` gathers, no distance filtering — and
-        are cached per ``(radius, side)``.  The attacks sandwich candidate
-        anchors between the two: a vector the upper bound fails to dominate
-        cannot survive exact pruning, one the lower bound already dominates
-        certainly does, and only the band in between pays for exact
-        anchor-matrix rows.
+        are computed afresh on each call, for the rows of *indices* or, by
+        default, for every POI.  The attacks sandwich candidate anchors
+        between the two: a vector the upper bound fails to dominate cannot
+        survive exact pruning, one the lower bound already dominates
+        certainly does, and only the band in between pays for exact anchor
+        rows.  The returned block is read-only.
         """
         if side not in ("upper", "lower"):
             raise DatasetError(f"side must be 'upper' or 'lower', got {side!r}")
-        key = (float(radius), side)
-        mat = self._bound_matrices.get(key)
-        if mat is not None:
-            block = mat if indices is None else mat[indices]
-        elif indices is not None:
-            # Small row blocks are cheaper to recompute than a full-map
-            # matrix; only whole-map requests are worth caching.
-            block = self._bound_rows(self._xy[indices], radius, side)
-        else:
-            block = self._bound_matrices[key] = self._bound_rows(self._xy, radius, side)
-        view = block.view()
-        view.flags.writeable = False
-        return view
+        xy = self._xy if indices is None else self._xy[indices]
+        block = self._bound_rows(xy, radius, side)
+        block.flags.writeable = False
+        return block
 
     def _bound_rows(self, xy: np.ndarray, radius: float, side: str) -> np.ndarray:
         """Evaluate one side of the Freq bounds at the given coordinates."""
@@ -357,12 +347,12 @@ class POIDatabase:
         cx1 = np.where(ok, cx1, -1)
         cy0 = np.where(ok, cy0, 0)
         cy1 = np.where(ok, cy1, -1)
-        rows = (
-            pref[cx1 + 1, cy1 + 1]
-            - pref[cx0, cy1 + 1]
-            - pref[cx1 + 1, cy0]
-            + pref[cx0, cy0]
-        )
+        # One gather, then in-place arithmetic: a single (n, M) temporary
+        # at a time.
+        rows = pref[cx1 + 1, cy1 + 1]
+        rows -= pref[cx0, cy1 + 1]
+        rows -= pref[cx1 + 1, cy0]
+        rows += pref[cx0, cy0]
         rows[~ok] = 0
         return rows
 
@@ -383,51 +373,50 @@ class POIDatabase:
             hist = np.bincount(
                 (cx * ny + cy) * m + self._types, minlength=nx * ny * m
             ).reshape(nx, ny, m)
+            np.cumsum(hist, axis=0, out=hist)
+            np.cumsum(hist, axis=1, out=hist)
             # Counts are bounded by the POI total, so int32 suffices and
             # halves the gather traffic of every bound evaluation.
             pref = np.zeros((nx + 1, ny + 1, m), dtype=np.int32)
-            pref[1:, 1:] = hist.cumsum(axis=0).cumsum(axis=1)
+            pref[1:, 1:] = hist
             self._cell_prefix = pref
         return pref
 
     def freq_at_poi(self, poi_index: int, radius: float) -> np.ndarray:
         """``Freq`` evaluated at a POI's own location.
 
-        A thin read-only row view over :meth:`anchor_freqs`'s per-radius
-        matrix; single rows are filled on demand, batched callers should
-        warm the matrix with :meth:`anchor_freqs` first.  Callers must not
-        mutate the returned array.
+        A read-only view of the POI's row in the store behind
+        :meth:`anchor_freqs`; a missing row is filled on demand, so batched
+        callers should fill theirs with :meth:`anchor_freqs` first.  Rows
+        never change once written, so the view keeps its values whatever
+        the store does later, but it shares no memory with the blocks
+        :meth:`anchor_freqs` returns.
         """
-        mat, ready = self._anchor_state(radius)
+        store = self._anchor_store(radius)
         i = int(poi_index)
-        if not ready[i]:
-            mat[i] = self.freq(self.location_of(i), radius)
-            ready[i] = True
-        row = mat[i].view()
+        if store.slot[i] < 0:
+            store.add(np.array([i]), self.freq(self.location_of(i), radius)[None, :])
+            self._anchor_rows[float(radius)] = store
+        row = store.row(i)
         row.flags.writeable = False
         return row
 
     def clear_cache(self) -> None:
-        """Drop all memoised per-radius anchor frequency and bound matrices.
+        """Drop every memoised anchor row, at every radius.
 
         The radius-independent cell prefix sums are structural (a fixed
         function of the POI set, like the grid index) and are kept.
         """
-        self._anchor_matrices.clear()
-        self._anchor_ready.clear()
-        self._bound_matrices.clear()
+        self._anchor_rows.clear()
 
-    def _anchor_state(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (matrix, row-computed mask) pair backing one cached radius."""
-        key = float(radius)
-        mat = self._anchor_matrices.get(key)
-        if mat is None:
-            # Counts are bounded by the POI total, so int32 rows halve the
-            # fill and gather traffic of the full (n_pois, M) matrix.
-            mat = np.zeros((len(self._xy), self.n_types), dtype=np.int32)
-            self._anchor_matrices[key] = mat
-            self._anchor_ready[key] = np.zeros(len(self._xy), dtype=bool)
-        return mat, self._anchor_ready[key]
+    def _anchor_store(self, radius: float) -> _AnchorRows:
+        """The row store of *radius*.
+
+        A new store is registered by its first fill, so a radius the engine
+        rejects leaves none behind.
+        """
+        store = self._anchor_rows.get(float(radius))
+        return _AnchorRows(len(self._xy), self.n_types) if store is None else store
 
     @staticmethod
     def _as_coords(xy: "Sequence[Point] | np.ndarray") -> np.ndarray:
@@ -465,10 +454,12 @@ class POIDatabase:
         return view
 
     def pois_of_type(self, type_id: int) -> np.ndarray:
-        """Indices of every POI with the given type."""
+        """Read-only view of the indices of every POI with the given type."""
         if not 0 <= type_id < self.n_types:
             raise DatasetError(f"type id {type_id} out of range [0, {self.n_types})")
-        return self._by_type[type_id]
+        view = self._by_type[type_id].view()
+        view.flags.writeable = False
+        return view
 
     def rarest_present_type(self, freq_vector: np.ndarray) -> int | None:
         """The city-rarest type with a non-zero entry in *freq_vector*.
@@ -487,3 +478,45 @@ class POIDatabase:
         if len(present) == 0:
             return None
         return int(present[np.argmin(self._ranks[present])])
+
+
+class _AnchorRows:
+    """The ``Freq(p, r)`` rows computed so far at one radius.
+
+    ``slot[p]`` is POI ``p``'s row in ``rows`` (``-1`` while unfilled).  The
+    filled rows sit densely at the front of ``rows``, which doubles when it
+    runs out of room; a row is written once and never changes, so a view
+    taken before a growth keeps reading the same values afterwards.
+    """
+
+    __slots__ = ("slot", "rows", "n")
+
+    def __init__(self, n_pois: int, n_types: int) -> None:
+        self.slot = np.full(n_pois, -1, dtype=np.intp)
+        # Counts are bounded by the POI total, so int32 rows halve the fill
+        # and gather traffic.
+        self.rows = np.empty((0, n_types), dtype=np.int32)
+        self.n = 0
+
+    def missing(self, indices: np.ndarray) -> np.ndarray:
+        """The distinct POIs among *indices* whose row is not filled yet."""
+        return np.unique(indices[self.slot[indices] < 0])
+
+    def add(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Fill the rows of the distinct, unfilled POIs *indices*."""
+        n, k = self.n, len(indices)
+        if n + k > len(self.rows):
+            grown = np.empty((max(n + k, 2 * len(self.rows)), self.rows.shape[1]), np.int32)
+            grown[:n] = self.rows[:n]
+            self.rows = grown
+        self.rows[n : n + k] = values
+        self.slot[indices] = np.arange(n, n + k)
+        self.n = n + k
+
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        """A fresh ``(len(indices), M)`` gather of filled rows."""
+        return self.rows[self.slot[indices]]
+
+    def row(self, index: int) -> np.ndarray:
+        """A view of one filled row."""
+        return self.rows[self.slot[index]]

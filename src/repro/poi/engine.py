@@ -1,7 +1,7 @@
 """The unified Freq query engine.
 
 Every frequency evaluation in the repo — scalar :meth:`POIDatabase.freq`,
-batched :meth:`POIDatabase.freq_batch`, the lazy anchor-matrix fills, and
+batched :meth:`POIDatabase.freq_batch`, the lazy anchor-row fills, and
 the serve dispatcher's micro-batches — routes through one
 :class:`FreqEngine`, which picks an execution *tier* per call:
 
@@ -31,6 +31,7 @@ Every engine call emits a :class:`QueryPlan` describing what actually ran
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.errors import DatasetError
+from repro.geo.grid_index import POOL_BUDGET
 from repro.poi import kernels
 
 if TYPE_CHECKING:
@@ -208,8 +210,8 @@ class FreqEngine:
         self, coords: np.ndarray, radius: float, op: str = "freq_batch"
     ) -> np.ndarray:
         """``Freq`` for many centers: ``(n, M)`` int64, scalar-identical."""
-        if radius < 0:
-            raise DatasetError(f"radius must be non-negative, got {radius}")
+        if not 0 <= radius < math.inf:
+            raise DatasetError(f"radius must be finite and non-negative, got {radius}")
         db = self._db
         n, m = len(coords), db.n_types
         tier = self.select_tier(radius)
@@ -249,9 +251,10 @@ class FreqEngine:
     ) -> Iterator[tuple[int, int]]:
         """Query chunking that bounds every intermediate's memory.
 
-        The banded tier's cost is the gathered candidate pool (~4M entries
-        per chunk, as before); the pyramid adds per-pair prefix gathers of
-        width ``m``, so its chunks also cap ``pairs * m`` elements.
+        The banded tier's cost is the gathered candidate pool (about
+        :data:`~repro.geo.grid_index.POOL_BUDGET` entries per chunk); the
+        pyramid adds per-pair prefix gathers of width ``m``, so its chunks
+        also cap ``pairs * m`` elements.
         """
         grid = self._db.grid
         cell = grid.cell_size
@@ -260,7 +263,7 @@ class FreqEngine:
         side = 2 * radius + 2 * cell
         if tier == "banded":
             est = max(1.0, density * side * side)
-            chunk = int(min(n, max(64, 4_000_000 / est)))
+            chunk = int(min(n, max(64, POOL_BUDGET / est)))
         else:
             # Band candidates live in a strip ~2 cells thick around the
             # circle; interior pairs cost m-wide prefix gathers each.
@@ -269,7 +272,7 @@ class FreqEngine:
             chunk = int(
                 min(
                     n,
-                    max(64, min(4_000_000 / est_band, 24_000_000 / est_pair_elems)),
+                    max(64, min(POOL_BUDGET / est_band, 24_000_000 / est_pair_elems)),
                 )
             )
         for start in range(0, n, chunk):

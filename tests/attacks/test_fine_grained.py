@@ -355,5 +355,5 @@ class TestMatchesReference:
 
 
 def _ready_rows(db, radius):
-    """The database's computed-row mask of its cached ``Freq(p, radius)`` matrix."""
-    return db._anchor_ready[float(radius)]
+    """The POIs whose ``Freq(p, radius)`` row the database has computed."""
+    return db._anchor_rows[float(radius)].slot >= 0

@@ -47,6 +47,17 @@ class TestOnTinyDatabase:
         with pytest.raises(AttackError):
             attack.run(Release(np.array([1, 0, 0]), 0.0))
 
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    def test_non_finite_radius_raises(self, tiny_db, radius):
+        attack = RegionAttack(tiny_db)
+        vector = np.array([1, 0, 0])
+        with pytest.raises(AttackError):
+            attack.candidate_set(vector, radius)
+        with pytest.raises(AttackError):
+            attack.run(Release(vector, radius))
+        with pytest.raises(AttackError):
+            attack.run_batch([Release(vector, 100.0), Release(vector, radius)])
+
     def test_max_candidates_cap(self, tiny_db):
         attack = RegionAttack(tiny_db, max_candidates=1)
         # Rarest present type is a (3 POIs) -> over the cap -> auto fail.

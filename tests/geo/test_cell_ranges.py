@@ -88,3 +88,10 @@ class TestCellRanges:
             fn(np.zeros((3, 3)), 100.0)
         with pytest.raises(GeometryError):
             fn(np.zeros((3, 2)), -1.0)
+
+    @pytest.mark.parametrize("method", ["cell_ranges", "interior_cell_ranges"])
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    def test_rejects_non_finite_radius(self, method, radius):
+        _, index = _random_index(np.random.default_rng(8))
+        with pytest.raises(GeometryError):
+            getattr(index, method)(np.zeros((3, 2)), radius)

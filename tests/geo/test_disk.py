@@ -18,6 +18,11 @@ class TestDisk:
         with pytest.raises(GeometryError):
             Disk(Point(0, 0), -1.0)
 
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    def test_non_finite_radius_raises(self, radius):
+        with pytest.raises(GeometryError):
+            Disk(Point(0, 0), radius)
+
     def test_contains_boundary(self):
         d = Disk(Point(0, 0), 5.0)
         assert d.contains(Point(5, 0))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import GeometryError
+from repro.geo import grid_index
 from repro.geo.grid_index import GridIndex
 from repro.geo.point import Point
 
@@ -77,6 +78,36 @@ class TestQueryBatch:
         index = GridIndex(np.zeros((1, 2)), cell_size=1.0)
         with pytest.raises(GeometryError):
             index.query_batch([[0.0, 0.0]], -1.0)
+
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    def test_non_finite_radius_raises(self, radius):
+        index = GridIndex(np.zeros((1, 2)), cell_size=1.0)
+        with pytest.raises(GeometryError):
+            index.query_batch([[0.0, 0.0]], radius)
+        with pytest.raises(GeometryError):
+            index.query_radius(Point(0.0, 0.0), radius)
+        with pytest.raises(GeometryError):
+            index.disk_column_plan(np.zeros((1, 2)), radius)
+
+    @pytest.mark.parametrize("budget", (1, 7, 40, 300))
+    def test_pool_runs_match_scalar_query(self, budget, monkeypatch):
+        # A budget far below the batch's pool splits it into many runs of
+        # column pairs; at 1 every pair runs alone.
+        rng = np.random.default_rng(23)
+        points = rng.uniform(0, 1000, size=(800, 2))
+        index = GridIndex(points, cell_size=50.0)
+        centers = rng.uniform(-100, 1100, size=(60, 2))
+        whole_indices, whole_offsets = index.query_batch(centers, 220.0)
+        assert len(whole_indices) > 10 * budget
+        monkeypatch.setattr(grid_index, "POOL_BUDGET", budget)
+        indices, offsets = index.query_batch(centers, 220.0)
+        np.testing.assert_array_equal(indices, whole_indices)
+        np.testing.assert_array_equal(offsets, whole_offsets)
+        assert indices.dtype == np.intp
+        for got, want in zip(
+            batch_rows(index, centers, 220.0), scalar_rows(index, centers, 220.0)
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_far_out_of_bounds_centers(self):
         points = np.random.default_rng(1).uniform(0, 50, (80, 2))

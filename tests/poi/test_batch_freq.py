@@ -71,10 +71,38 @@ class TestAnchorFreqs:
             matrix[0, 0] = 1
 
     def test_freq_at_poi_is_row_view(self, tiny_db):
+        # A read-only view of the stored row, shared by repeated calls; the
+        # anchor_freqs matrix is a separate gather with the same values.
         row = tiny_db.freq_at_poi(2, 300.0)
+        again = tiny_db.freq_at_poi(2, 300.0)
         matrix = tiny_db.anchor_freqs(300.0)
-        assert np.shares_memory(row, matrix)
+        assert np.shares_memory(row, again)
+        assert not row.flags.writeable
         np.testing.assert_array_equal(row, matrix[2])
+
+    def test_rows_survive_store_growth(self, db):
+        # Fills of growing size reallocate the store's row block at every
+        # step; each row, and each view taken before a reallocation, must
+        # keep reading Freq at its POI.
+        radius = 650.0
+        db.clear_cache()
+        order = np.random.default_rng(31).permutation(len(db))
+        views, start = {}, 0
+        for size in (1, 1, 3, 8, 20, 60, 150):
+            batch = order[start : start + size]
+            start += size
+            block = db.anchor_freqs(radius, np.concatenate([batch, batch[:1]]))
+            np.testing.assert_array_equal(block[-1], block[0])
+            views[int(batch[-1])] = db.freq_at_poi(int(batch[-1]), radius)
+            views[int(order[start])] = db.freq_at_poi(int(order[start]), radius)
+            start += 1
+            for poi, view in views.items():
+                np.testing.assert_array_equal(view, db.freq(db.location_of(poi), radius))
+        filled = order[:start]
+        expected = np.stack([db.freq(db.location_of(int(p)), radius) for p in filled])
+        np.testing.assert_array_equal(db.anchor_freqs(radius, filled), expected)
+        first = int(order[0])
+        assert not np.shares_memory(views[first], db.freq_at_poi(first, radius))
 
     def test_lazy_fill_is_consistent(self, tiny_db):
         tiny_db.clear_cache()

@@ -66,10 +66,9 @@ class TestQueries:
         a = tiny_db.freq_at_poi(0, 250.0)
         b = tiny_db.freq_at_poi(0, 250.0)
         np.testing.assert_array_equal(a, b)
-        # Both are views into the same per-radius anchor matrix.
-        matrix = tiny_db.anchor_freqs(250.0)
-        assert np.shares_memory(a, matrix)
-        assert np.shares_memory(b, matrix)
+        # Both are views of the same stored row, which anchor_freqs gathers.
+        assert np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, tiny_db.anchor_freqs(250.0, [0])[0])
         with pytest.raises(ValueError):
             a[0] = 99
 
@@ -96,6 +95,14 @@ class TestCityAggregates:
     def test_pois_of_type(self, tiny_db):
         assert set(tiny_db.pois_of_type(0).tolist()) == {0, 1, 5}
         assert set(tiny_db.pois_of_type(2).tolist()) == {4}
+
+    def test_pois_of_type_is_read_only(self, tiny_db):
+        # A write through the returned array used to reach the database's
+        # own per-type index and every later candidate set.
+        ids = tiny_db.pois_of_type(0)
+        with pytest.raises(ValueError):
+            ids[0] = 99999
+        np.testing.assert_array_equal(tiny_db.pois_of_type(0), [0, 1, 5])
 
     def test_pois_of_type_out_of_range(self, tiny_db):
         with pytest.raises(DatasetError):

@@ -11,7 +11,7 @@ grid, targets on grid edges and corners, and targets outside the bounds.
 import numpy as np
 import pytest
 
-from repro.core.errors import DatasetError
+from repro.core.errors import DatasetError, GeometryError
 from repro.geo.point import Point
 from repro.poi.engine import (
     ENGINE_MODES,
@@ -63,6 +63,23 @@ class TestModeSelection:
         threshold = engine.pyramid_threshold_cells * cell
         assert engine.select_tier(threshold / 4) == "banded"
         assert engine.select_tier(threshold * 4) == "pyramid"
+
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    def test_non_finite_radius_raises(self, db, radius):
+        # A NaN radius used to count nothing and an infinite one used to
+        # return zeros, where a 1e9 m radius counts every POI.
+        with pytest.raises(DatasetError):
+            db.freq(Point(0.0, 0.0), radius)
+        with pytest.raises(DatasetError):
+            db.freq_batch(np.zeros((2, 2)), radius)
+        with pytest.raises(DatasetError):
+            db.anchor_freqs(radius, [0, 1])
+        with pytest.raises(DatasetError):
+            db.freq_at_poi(0, radius)
+        with pytest.raises(GeometryError):
+            db.freq_bounds(radius, [0])
+        with pytest.raises(GeometryError):
+            db.query_batch(np.zeros((2, 2)), radius)
 
     def test_forced_modes_ignore_radius(self, db):
         assert FreqEngine(db, mode="banded").select_tier(1e6) == "banded"
