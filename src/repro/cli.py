@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
             "dtype/hypot discipline, picklable shard workers, wall-clock-"
             "free experiment paths, no deprecated attack shims, atomic "
             "cache/checkpoint writes, timeout-bounded blocking in the "
-            "serve path, managed shared memory, config-bounded federated "
+            "serve path, no shared-memory segments, config-bounded federated "
             "accumulators. Project-wide dataflow analyses (PL011-PL014, "
             "enabled with --analysis taint,locks,commit or 'all'): "
             "privacy-taint source-to-sink tracking, exception-skippable "

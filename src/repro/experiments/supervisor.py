@@ -1,10 +1,12 @@
 """Supervised shard execution: timeouts, retries, crash isolation, resume.
 
 :func:`repro.experiments.parallel.run_sharded` splits an experiment along
-its dataset/city axis and runs each shard in its own process.  A bare
-process pool is brittle at paper scale: one hung worker stalls the whole
-sweep, one OOM-killed worker aborts it and discards every completed
-shard.  This module is the supervision layer the pool lacks:
+its dataset/city axis and runs each shard in its own process, always
+through this module.  A bare process pool would be brittle at paper
+scale: one hung worker stalls the whole sweep, one OOM-killed worker
+aborts it and discards every completed shard.  The supervisor instead
+starts one fresh process per shard attempt and adds, as the
+:class:`ShardPolicy` asks:
 
 * **timeouts** — every shard attempt has a wall-clock deadline; a worker
   that runs past it is SIGKILLed and the shard is rescheduled (hung
@@ -295,7 +297,6 @@ def _supervised_worker(
     kwargs: dict,
     fault_plan: "WorkerFaultPlan | None",
     attempt: int,
-    city_handles: tuple = (),
 ) -> None:
     """Worker entry point: run one shard attempt, report over *conn*.
 
@@ -304,19 +305,8 @@ def _supervised_worker(
     detects the dead process.  Injected faults fire before the runner so
     chaos tests stay cheap; the supervision semantics are identical to a
     fault mid-computation.
-
-    With *city_handles* the worker first attaches the parent's
-    shared-memory cities (:mod:`repro.poi.shared`).  The attach precedes
-    fault injection on purpose: a worker that is SIGKILLed mid-run dies
-    *attached*, and its replacement attempt re-attaches the same
-    segments — the crash-replacement path the chaos suite exercises.
-    Workers never unlink; only the parent's ``share_cities`` context does.
     """
     try:
-        if city_handles:
-            from repro.poi.shared import attach_and_install
-
-            attach_and_install(city_handles)
         if fault_plan is not None:
             fate = fault_plan.decide(shard_value, attempt)
             if fate == "crash":
@@ -376,26 +366,19 @@ def supervise_shards(
     resume: bool = False,
     journal_path: "Path | str | None" = None,
     fault_plan: "WorkerFaultPlan | None" = None,
-    city_handles: tuple = (),
 ) -> tuple[list, list[ShardReport]]:
     """Run every shard under supervision; never abandons completed work.
 
     Returns ``(partials, reports)`` in shard order, where ``partials[i]``
     is the shard's ``ExperimentResult`` as a dict (``None`` if the shard
     failed terminally) and ``reports[i]`` its :class:`ShardReport`.
-    Unlike a bare pool, a failing shard does not abort the others: the
-    sweep always runs to completion and the caller decides what a
-    failure means.
+    A failing shard does not abort the others: the sweep always runs to
+    completion and the caller decides what a failure means.
 
     With *out* set, completed shards checkpoint atomically under
     ``<out>/.checkpoints/shards/`` and ``resume=True`` skips shards whose
     checkpoint matches ``(experiment, scale, seed, shard, kwargs)``; the
     journal defaults to ``<out>/.checkpoints/journal.jsonl``.
-
-    *city_handles* (picklable :class:`~repro.poi.shared.SharedCityHandle`
-    tuples) are forwarded to every worker attempt — including retries
-    replacing a SIGKILLed worker — which attach the shared cities before
-    running.  The supervisor never unlinks the segments; their owner does.
     """
     kwargs = dict(kwargs or {})
     policy = policy if policy is not None else ShardPolicy()
@@ -442,7 +425,6 @@ def supervise_shards(
                 kwargs,
                 fault_plan,
                 report.attempts,
-                city_handles,
             ),
             daemon=True,
         )

@@ -178,49 +178,6 @@ class GridIndex:
             or (ys > b.max_y).any()
         )
 
-    @classmethod
-    def from_layout(
-        cls,
-        xy: np.ndarray,
-        cell_size: float,
-        bounds: BBox,
-        order: np.ndarray,
-        start: np.ndarray,
-        xord: np.ndarray,
-        yord: np.ndarray,
-    ) -> GridIndex:
-        """Rebuild an index from a previously computed bucket layout.
-
-        Used by the shared-memory attach path: the arrays are views over a
-        ``multiprocessing.shared_memory`` segment built by an index with the
-        same ``(xy, cell_size, bounds)``, so re-sorting would both waste time
-        and force a copy.  Only cheap shape invariants are checked — the
-        caller vouches that the layout actually belongs to these points.
-        """
-        if cell_size <= 0:
-            raise GeometryError(f"cell_size must be positive, got {cell_size}")
-        obj = cls.__new__(cls)
-        obj._xy = xy
-        obj._cell = float(cell_size)
-        obj._bounds = bounds
-        obj._nx = max(1, int(np.ceil(bounds.width / cell_size)))
-        obj._ny = max(1, int(np.ceil(bounds.height / cell_size)))
-        n_cells = obj._nx * obj._ny
-        if len(start) != n_cells + 1 or int(start[-1]) != len(xy):
-            raise GeometryError(
-                f"bucket layout does not match grid: expected start of length "
-                f"{n_cells + 1} ending at {len(xy)}, got length {len(start)} "
-                f"ending at {int(start[-1]) if len(start) else 'nothing'}"
-            )
-        if not (len(order) == len(xord) == len(yord) == len(xy)):
-            raise GeometryError("bucket layout arrays disagree with the point count")
-        obj._order = order
-        obj._start = start
-        obj._xord = xord
-        obj._yord = yord
-        obj._clipped = obj._any_outside_bounds()
-        return obj
-
     @property
     def n_points(self) -> int:
         return len(self._xy)

@@ -732,31 +732,28 @@ _SHM_CTORS = {
     "shared_memory.SharedMemory",
 }
 
-#: The one module allowed to create and unlink shared segments.
-_SHM_OWNER_MODULE = "repro.poi.shared"
-
 
 class UnmanagedSharedMemory(Rule):
-    """PL009 — shared segments live and die inside repro.poi.shared."""
+    """PL009 — first-party code creates and deletes no shared-memory segments."""
 
     id = "PL009"
     name = "unmanaged-shared-memory"
-    summary = "shared-memory segments must be owned by repro.poi.shared's context managers"
+    summary = "first-party code must not create or delete shared-memory segments"
     rationale = (
-        "The shared-city lifecycle has exactly one owner: the "
-        "share_city/share_cities context manager creates each segment "
-        "and is the only code that ever unlinks it, so a SIGKILLed "
-        "worker can neither leak nor destroy a segment other processes "
-        "still map. A stray SharedMemory(...) constructor, .unlink() "
-        "call, or /dev/shm delete anywhere else reintroduces the races "
-        "the contract closes: double-unlink, attacher-unregisters-owner, "
-        "and orphaned segments that outlive the run. Create segments "
-        "with share_city/share_cities and attach with attach_city; "
-        "never touch the segment files directly."
+        "Nothing in this project shares memory across processes: a shard "
+        "worker builds its own city from the seed, or inherits it under "
+        "fork, so no module owns a segment. A POSIX segment is a kernel "
+        "object that outlives a SIGKILLed creator unless someone unlinks "
+        "it, and unlinking or deleting /dev/shm files destroys segments "
+        "that other processes may still map. A stray SharedMemory(...) "
+        "constructor, .unlink() on a segment, or /dev/shm delete therefore "
+        "brings back the leak and double-unlink races without the "
+        "ownership contract that would close them. Hand workers their "
+        "inputs as arguments, or let them rebuild them."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.is_test or ctx.module == _SHM_OWNER_MODULE:
+        if ctx.is_test:
             return
         shm_vars: set[str] = set()
         for node in ast.walk(ctx.tree):
@@ -772,9 +769,9 @@ class UnmanagedSharedMemory(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    "direct SharedMemory(...) bypasses the owning context "
-                    "manager; create segments with share_city/share_cities "
-                    "and attach with attach_city",
+                    "SharedMemory(...) creates or attaches a segment no "
+                    "module owns; pass workers their inputs or let them "
+                    "rebuild them instead",
                 )
                 continue
             if isinstance(node.func, ast.Attribute) and node.func.attr == "unlink":
@@ -789,9 +786,9 @@ class UnmanagedSharedMemory(Rule):
                     yield self.violation(
                         ctx,
                         node,
-                        ".unlink() on a shared segment outside "
-                        "repro.poi.shared; only the owning context manager "
-                        "may unlink",
+                        ".unlink() on a shared-memory segment destroys it "
+                        "for every process that maps it; first-party code "
+                        "owns no segments",
                     )
                     continue
             if self._deletes_dev_shm(ctx, node):
@@ -799,7 +796,7 @@ class UnmanagedSharedMemory(Rule):
                     ctx,
                     node,
                     "deleting files under /dev/shm destroys live shared "
-                    "segments; let the owning context manager unlink them",
+                    "segments, which first-party code does not own",
                 )
 
     @staticmethod

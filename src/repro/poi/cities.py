@@ -22,8 +22,6 @@ __all__ = [
     "new_york",
     "small_city",
     "CITY_BUILDERS",
-    "install_attached_city",
-    "clear_attached_cities",
 ]
 
 #: Default seed used by experiment configs; any seed works.
@@ -89,28 +87,6 @@ class City:
         )
 
 
-# Shared-memory attachments: when a shard worker has attached a city from
-# a SharedCityHandle (see repro.poi.shared), the builders below return the
-# attached zero-copy instance instead of regenerating the city.  Keyed by
-# (name, seed) so mixed-seed workloads never cross wires.
-_ATTACHED: dict[tuple[str, int], City] = {}
-
-
-def install_attached_city(city: City) -> None:
-    """Make the city builders return *city* for its ``(name, seed)``.
-
-    Called by :func:`repro.poi.shared.attach_and_install` in shard workers
-    so that every in-process path that asks for ``beijing(seed)`` etc. gets
-    the shared-memory instance.
-    """
-    _ATTACHED[(city.name, city.seed)] = city
-
-
-def clear_attached_cities() -> None:
-    """Drop all shared-memory attachments (builders regenerate again)."""
-    _ATTACHED.clear()
-
-
 @lru_cache(maxsize=8)
 def _build_beijing(seed: int) -> City:
     return City("beijing", generate_city(BEIJING_CONFIG, seed), seed)
@@ -128,17 +104,17 @@ def _build_small_city(seed: int) -> City:
 
 def beijing(seed: int = DEFAULT_SEED) -> City:
     """The Beijing preset: 10,249 POIs, 177 types over a 40 km square."""
-    return _ATTACHED.get(("beijing", seed)) or _build_beijing(seed)
+    return _build_beijing(seed)
 
 
 def new_york(seed: int = DEFAULT_SEED) -> City:
     """The NYC preset: 30,056 POIs, 272 types over a 36 km square."""
-    return _ATTACHED.get(("nyc", seed)) or _build_new_york(seed)
+    return _build_new_york(seed)
 
 
 def small_city(seed: int = DEFAULT_SEED) -> City:
     """A small city for fast tests: 1,500 POIs, 40 types over 10 km."""
-    return _ATTACHED.get(("small", seed)) or _build_small_city(seed)
+    return _build_small_city(seed)
 
 
 #: Name → builder map used by the CLI and experiment registry.

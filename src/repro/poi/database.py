@@ -20,7 +20,7 @@ from repro.core.errors import DatasetError
 from repro.geo.bbox import BBox
 from repro.geo.grid_index import GridIndex
 from repro.geo.point import Point
-from repro.poi.engine import FreqEngine
+from repro.poi.engine import FreqEngine, check_radius
 from repro.poi.models import POI
 from repro.poi.vocabulary import TypeVocabulary
 
@@ -43,10 +43,6 @@ class POIDatabase:
     cell_size:
         Grid-index cell size in meters; defaults to 500 m, on the order of
         the smallest query radius studied in the paper.
-    engine:
-        Freq engine selector (``"auto"``, ``"banded"`` or ``"pyramid"``),
-        see :class:`~repro.poi.engine.FreqEngine`.  All selectors are
-        bit-identical; they trade plan overhead against pool size.
     """
 
     def __init__(
@@ -56,7 +52,6 @@ class POIDatabase:
         vocabulary: TypeVocabulary,
         bounds: BBox | None = None,
         cell_size: float = 500.0,
-        engine: str = "auto",
     ) -> None:
         xy = np.asarray(xy, dtype=float)
         type_ids = np.asarray(type_ids, dtype=np.intp)
@@ -77,52 +72,11 @@ class POIDatabase:
                 float(xy[:, 0].max()),
                 float(xy[:, 1].max()),
             )
-        index = GridIndex(xy, cell_size=cell_size, bounds=bounds.expanded(cell_size))
-        self._finish_init(xy, type_ids, vocabulary, bounds, index, engine)
-
-    @classmethod
-    def from_layout(
-        cls,
-        xy: np.ndarray,
-        type_ids: np.ndarray,
-        vocabulary: TypeVocabulary,
-        bounds: BBox,
-        index: GridIndex,
-        types_ord: np.ndarray | None = None,
-        cell_prefix: np.ndarray | None = None,
-        engine: str = "auto",
-    ) -> "POIDatabase":
-        """Rebuild a database around precomputed (possibly shared) arrays.
-
-        The shared-memory attach path hands in the grid index rebuilt with
-        :meth:`GridIndex.from_layout` plus the derived arrays that are
-        expensive to recompute (`types_ord`, the cell prefix sums), all of
-        which may be read-only views over a shared segment.  Validation of
-        the raw inputs is the owner's job — this constructor only rebuilds
-        the cheap derived state (city frequency, ranks, per-type lists).
-        """
-        obj = cls.__new__(cls)
-        obj._finish_init(xy, type_ids, vocabulary, bounds, index, engine)
-        if types_ord is not None:
-            obj._types_ord = types_ord
-        if cell_prefix is not None:
-            obj._cell_prefix = cell_prefix
-        return obj
-
-    def _finish_init(
-        self,
-        xy: np.ndarray,
-        type_ids: np.ndarray,
-        vocabulary: TypeVocabulary,
-        bounds: BBox,
-        index: GridIndex,
-        engine: str,
-    ) -> None:
         self._xy = xy
         self._types = type_ids
         self._vocab = vocabulary
         self._bounds = bounds
-        self._index = index
+        self._index = GridIndex(xy, cell_size=cell_size, bounds=bounds.expanded(cell_size))
         self._city_freq = np.bincount(type_ids, minlength=len(vocabulary)).astype(np.int64)
         # Infrequent rank per paper Eq. (7): the rarest type ranks 1.  Ties
         # broken by type id for determinism.
@@ -145,7 +99,7 @@ class POIDatabase:
         # Type ids pre-permuted into the grid's bucket order, so the band
         # kernels histogram pool entries without a point-index gather.
         self._types_ord: np.ndarray | None = None
-        self._engine = FreqEngine(self, mode=engine)
+        self._engine = FreqEngine(self)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -196,7 +150,7 @@ class POIDatabase:
 
     @property
     def grid(self) -> GridIndex:
-        """The backing grid index (shared with the engine and shm layer)."""
+        """The backing grid index (shared with the engine)."""
         return self._index
 
     @property
@@ -211,10 +165,6 @@ class POIDatabase:
     def engine(self) -> FreqEngine:
         """The Freq engine every frequency query routes through."""
         return self._engine
-
-    def set_engine(self, mode: str) -> None:
-        """Switch the engine selector (``auto``/``banded``/``pyramid``)."""
-        self._engine.mode = mode
 
     def poi(self, index: int) -> POI:
         """Materialise the POI at a given index."""
@@ -291,6 +241,7 @@ class POIDatabase:
         gather: memory grows with the rows the callers read, not with the
         city.
         """
+        check_radius(radius)
         store = self._anchor_store(radius)
         if indices is None:
             indices = np.arange(len(self._xy))
@@ -361,9 +312,9 @@ class POIDatabase:
 
         Shape ``(nx + 1, ny + 1, M)`` int32: entry ``[i, j]`` sums the
         histograms of all cells ``(< i, < j)``.  Depends only on the static
-        POI set (like the grid index itself), so it is built once, survives
-        :meth:`clear_cache`, and is shareable across processes.  Backs both
-        :meth:`freq_bounds` and the engine's pyramid tier.
+        POI set (like the grid index itself), so it is built once and
+        survives :meth:`clear_cache`.  Backs both :meth:`freq_bounds` and
+        the engine's pyramid tier.
         """
         pref = self._cell_prefix
         if pref is None:

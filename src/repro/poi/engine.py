@@ -49,6 +49,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ENGINE_MODES",
     "FreqEngine",
+    "check_radius",
     "QueryPlan",
     "collecting_query_plans",
     "record_query_plan",
@@ -138,6 +139,12 @@ def summarize_query_plans(plans: list[QueryPlan]) -> dict[str, Any]:
     }
 
 
+def check_radius(radius: float) -> None:
+    """Reject a negative, infinite or NaN Freq radius with a DatasetError."""
+    if not 0 <= radius < math.inf:
+        raise DatasetError(f"radius must be finite and non-negative, got {radius}")
+
+
 class FreqEngine:
     """Radius-tiered executor for batched Freq evaluations.
 
@@ -200,18 +207,13 @@ class FreqEngine:
         cell = self._db.grid.cell_size
         return "pyramid" if radius >= self._threshold * cell else "banded"
 
-    def kernel_name(self) -> str:
-        """The band-filter kernel the next call will use."""
-        return kernels.active_kernel()
-
     # -- execution ----------------------------------------------------
 
     def freq_batch(
         self, coords: np.ndarray, radius: float, op: str = "freq_batch"
     ) -> np.ndarray:
         """``Freq`` for many centers: ``(n, M)`` int64, scalar-identical."""
-        if not 0 <= radius < math.inf:
-            raise DatasetError(f"radius must be finite and non-negative, got {radius}")
+        check_radius(radius)
         db = self._db
         n, m = len(coords), db.n_types
         tier = self.select_tier(radius)

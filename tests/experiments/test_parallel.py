@@ -62,32 +62,22 @@ class TestRunSharded:
         assert SHARD_AXES["fig2"] == "city_names"
 
     def test_first_failure_cancels_and_names_the_shard(self):
-        """Plain-pool path: fail fast with the shard id, not a bare traceback."""
+        """A failed shard raises with its id, not a bare traceback.
+
+        The sibling shards still run to completion first.
+        """
         with pytest.raises(ShardError) as excinfo:
             run_sharded(
                 "fig4",
                 MICRO,
                 shards=("bj_random", "no_such_dataset"),
                 max_workers=2,
-                supervised=False,
                 radii=(1_000.0,),
                 epsilons=(0.1,),
             )
         assert excinfo.value.shard == "no_such_dataset"
         assert "datasets='no_such_dataset'" in str(excinfo.value)
         assert "fig4" in str(excinfo.value)
-
-    def test_pool_mode_records_provenance(self):
-        result = run_sharded(
-            "fig4",
-            MICRO,
-            shards=("bj_random",),
-            max_workers=1,
-            radii=(1_000.0,),
-            epsilons=(0.1,),
-        )
-        assert result.provenance["sharding"]["mode"] == "pool"
-        assert result.provenance["sharding"]["max_workers"] == 1
 
 
 class TestShardSpecs:

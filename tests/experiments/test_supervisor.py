@@ -355,7 +355,7 @@ class TestReportShape:
             policy=ShardPolicy(retries=2, **FAST), **KW,
         )
         sharding = result.provenance["sharding"]
-        assert sharding["mode"] == "supervised"
+        assert sharding["max_workers"] == 1
         assert sharding["policy"]["retries"] == 2
         assert len(sharding["shards"]) == 1
 

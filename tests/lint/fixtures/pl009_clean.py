@@ -1,15 +1,7 @@
-"""PL009 fixture: the sanctioned shared-memory lifecycle, and unrelated unlinks."""
+"""PL009 fixture: unlinks unrelated to shared memory."""
 
 import os
 from pathlib import Path
-
-from repro.poi.shared import attach_city, share_cities
-
-
-def sanctioned_lifecycle(cities, handles):
-    with share_cities(cities) as owned:
-        attached = [attach_city(h) for h in owned]
-    return attached, handles
 
 
 def everyday_file_cleanup(tmp_dir):

@@ -1,4 +1,4 @@
-"""PL009 fixture: shared-memory lifecycle violations outside the owner."""
+"""PL009 fixture: shared-memory segments created and deleted in first-party code."""
 
 import os
 from multiprocessing.shared_memory import SharedMemory

@@ -64,16 +64,19 @@ class TestModeSelection:
         assert engine.select_tier(threshold / 4) == "banded"
         assert engine.select_tier(threshold * 4) == "pyramid"
 
-    @pytest.mark.parametrize("radius", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("radius", (float("nan"), float("inf"), -1.0))
     def test_non_finite_radius_raises(self, db, radius):
         # A NaN radius used to count nothing and an infinite one used to
-        # return zeros, where a 1e9 m radius counts every POI.
+        # return zeros, where a 1e9 m radius counts every POI.  A negative
+        # one is rejected alike, even where no anchor row needs filling.
         with pytest.raises(DatasetError):
             db.freq(Point(0.0, 0.0), radius)
         with pytest.raises(DatasetError):
             db.freq_batch(np.zeros((2, 2)), radius)
         with pytest.raises(DatasetError):
             db.anchor_freqs(radius, [0, 1])
+        with pytest.raises(DatasetError):
+            db.anchor_freqs(radius, [])
         with pytest.raises(DatasetError):
             db.freq_at_poi(0, radius)
         with pytest.raises(GeometryError):
@@ -84,16 +87,6 @@ class TestModeSelection:
     def test_forced_modes_ignore_radius(self, db):
         assert FreqEngine(db, mode="banded").select_tier(1e6) == "banded"
         assert FreqEngine(db, mode="pyramid").select_tier(1.0) == "pyramid"
-
-    def test_database_set_engine(self, db):
-        assert db.engine.mode == "auto"
-        db.set_engine("pyramid")
-        try:
-            assert db.engine.mode == "pyramid"
-            with pytest.raises(DatasetError):
-                db.set_engine("bogus")
-        finally:
-            db.set_engine("auto")
 
 
 class TestBitIdentityAtBoundaryRadii:
@@ -169,7 +162,6 @@ class TestQueryPlanProvenance:
     def test_summary_shape(self, db, rng):
         coords = rng.uniform(2_000, 8_000, size=(6, 2))
         with collecting_query_plans() as plans:
-            db.set_engine("auto")
             db.freq_batch(coords, 600.0)
             db.freq_batch(coords, 6_000.0)
         summary = summarize_query_plans(plans)

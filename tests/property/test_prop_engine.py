@@ -84,20 +84,3 @@ class TestEngineBitIdentity:
         for mode in ("banded", "pyramid"):
             got = FreqEngine(db, mode=mode).freq_batch(q, radius)
             np.testing.assert_array_equal(got, want, err_msg=f"mode={mode}")
-
-    @given(point_sets, type_seeds, queries, st.floats(1.0, 12_000.0))
-    @settings(max_examples=60, deadline=None)
-    def test_pyramid_equals_banded_on_shared_memory_layout(
-        self, pts, type_seed, q, radius
-    ):
-        """The engines agree on an attached zero-copy database too."""
-        from repro.poi.cities import City
-        from repro.poi.shared import attach_city, share_city
-
-        db = build_db(pts, type_seed)
-        with share_city(City("prop", db, 0)) as handle:
-            adb = attach_city(handle).database
-            np.testing.assert_array_equal(
-                FreqEngine(adb, mode="pyramid").freq_batch(q, radius),
-                FreqEngine(db, mode="banded").freq_batch(q, radius),
-            )
