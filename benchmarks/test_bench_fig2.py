@@ -9,6 +9,13 @@ process by about one Gram however many types it models.  It runs in a
 fresh interpreter and reads ``VmHWM`` from ``/proc/self/status``, the
 high-water mark of that process alone (a fork+exec'd child's
 ``ru_maxrss`` starts at its parent's peak).
+
+The third bench times the SMO solver on every fit of a fig. 2 pass two
+ways: one ``BinarySVC.fit`` call per machine, and one
+``OneVsRestSVC.fit_many`` call per fit, which trains all the fit's
+machines in lockstep.  It asserts that both give every machine the same
+support vectors, dual coefficients and intercept, bit for bit, and
+records the per-fit times in ``BENCH_recovery.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -17,14 +24,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
 from repro.experiments.fig2_recovery_accuracy import run_fig2
+from repro.ml.svc import BinarySVC, OneVsRestSVC
 
 _REPO = Path(__file__).resolve().parent.parent
+_RESULT_PATH = _REPO / "BENCH_recovery.json"
+_N_REPEATS = 3
 
 #: The gated fit: 4 Beijing types at 1 km on 4,000 training rows.
 _N_TRAIN = 4_000
@@ -113,4 +125,93 @@ def test_bench_fig2_shared_kernel_memory(benchmark):
     assert growth_mb <= _GROWTH_BUDGET_MB, (
         f"recovery fit grew peak RSS by {growth_mb:.0f} MB, over two "
         f"{_N_TRAIN}-row Grams ({_GROWTH_BUDGET_MB:.0f} MB)"
+    )
+
+
+def _fig2_fits(scale):
+    """Run fig. 2, keeping each fit's Gram, label vectors and ``C``."""
+    fits = []
+    fit_many = OneVsRestSVC.fit_many.__func__
+
+    def recording(cls, K, label_vectors, C=1.0):
+        fits.append((K, [np.asarray(y) for y in label_vectors], C))
+        return fit_many(cls, K, label_vectors, C)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OneVsRestSVC, "fit_many", classmethod(recording))
+        result = run_fig2(scale)
+    return result, fits
+
+
+def _machine_rows(label_vectors):
+    """Each one-vs-rest machine's ±1 labels, in ``fit_many``'s order."""
+    rows = []
+    for y in label_vectors:
+        classes = np.unique(y)
+        positives = classes[1:] if len(classes) == 2 else classes
+        rows += [np.where(y == positive, 1.0, -1.0) for positive in positives]
+    return rows
+
+
+def _fit_each(K, machine_rows, C):
+    """One ``BinarySVC.fit`` call per machine."""
+    return [BinarySVC(C=C).fit(K, y) for y in machine_rows]
+
+
+def _min_seconds(fn, *args):
+    best, out = float("inf"), None
+    for _ in range(_N_REPEATS):
+        start = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+def _lockstep_report(scale):
+    result, fits = _fig2_fits(scale)
+    rows = []
+    for fig_row, (K, label_vectors, C) in zip(result.rows, fits, strict=True):
+        machine_rows = _machine_rows(label_vectors)
+        per_machine_s, singles = _min_seconds(_fit_each, K, machine_rows, C)
+        per_fit_s, models = _min_seconds(OneVsRestSVC.fit_many, K, label_vectors, C)
+        together = [machine for model in models for machine in model._machines]
+        assert len(together) == len(singles)
+        for alone, joint in zip(singles, together):
+            np.testing.assert_array_equal(alone.support_, joint.support_)
+            np.testing.assert_array_equal(alone.dual_coef_, joint.dual_coef_)
+            assert alone._b == joint._b
+        rows.append({
+            "city": fig_row["city"],
+            "r_km": fig_row["r_km"],
+            "n_train": len(K),
+            "n_types": len(label_vectors),
+            "n_machines": len(machine_rows),
+            "n_two_class_machines": sum(int(y.min() != y.max()) for y in machine_rows),
+            "per_machine_ms": per_machine_s * 1e3,
+            "per_fit_ms": per_fit_s * 1e3,
+        })
+    return {
+        "benchmark": "recovery_lockstep_smo",
+        "scale": scale.name,
+        "timing": f"per-fit minimum over {_N_REPEATS} repeats, SMO only (Gram prebuilt)",
+        "bit_identical": True,
+        "rows": rows,
+        "total_per_machine_ms": sum(r["per_machine_ms"] for r in rows),
+        "total_per_fit_ms": sum(r["per_fit_ms"] for r in rows),
+    }
+
+
+def test_bench_fig2_lockstep_smo(benchmark, bench_scale):
+    report = run_once(benchmark, lambda: _lockstep_report(bench_scale))
+    _RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    print()
+    for row in report["rows"]:
+        print(
+            f"{row['city']:8s} r={row['r_km']:.1f} km  {row['n_two_class_machines']:3d} "
+            f"two-class machines  one call per machine {row['per_machine_ms']:7.1f} ms  "
+            f"one call per fit {row['per_fit_ms']:7.1f} ms"
+        )
+    print(
+        f"total {report['total_per_machine_ms']:.0f} ms -> {report['total_per_fit_ms']:.0f} ms, "
+        "every machine bit-identical"
     )

@@ -27,7 +27,7 @@ the cap, so a superset of thousands of POIs costs a few dozen rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,10 @@ from repro.poi.frequency import dominates
 from repro.core.rng import RngLike
 
 __all__ = ["FineGrainedAttack", "FineGrainedOutcome"]
+
+#: A harvest walk: it yields the POIs whose rows it reads next and takes
+#: their ``Freq(p, 2r)`` row block back through ``send``.
+Walk = Generator[np.ndarray, np.ndarray, None]
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,13 @@ class FineGrainedAttack:
         self, freq_vector: np.ndarray, radius: float, major_anchor: int
     ) -> list[int]:
         """Collect auxiliary anchors around *major_anchor* (Algorithm 1 body)."""
-        superset = self._db.query(self._db.location_of(major_anchor), 2 * radius)
+        db = self._db
+        superset = db.query(db.location_of(major_anchor), 2 * radius)
         anchors: list[int] = []
-        for _ in self._harvest(
-            np.asarray(freq_vector), radius, major_anchor, superset, anchors
-        ):
-            pass
+        walk = self._harvest(np.asarray(freq_vector), radius, major_anchor, superset, anchors)
+        run = _resume(walk, None)
+        while run is not None:
+            run = _resume(walk, db.anchor_freqs(2 * radius, run))
         return anchors
 
     def _harvest(
@@ -155,25 +160,25 @@ class FineGrainedAttack:
         major_anchor: int,
         superset: np.ndarray,
         anchors: list[int],
-    ) -> Iterator[np.ndarray]:
+    ) -> Walk:
         """Algorithm 1 over a precomputed superset ``P(p*, 2r)``, appending to *anchors*.
 
         The walk visits the superset type by type in ascending difference
-        order, each type's members in superset order.  Before it reads the
-        ``Freq(p, 2r)`` rows of a run of candidates it yields their POI
-        indices, so a caller can fill the rows many walks wait on in one
-        engine call; the read fills any row still missing itself, so the
-        caller only batches reads and never decides an outcome.  A run
-        holds at most ``max_aux - len(anchors)`` candidates and each adds
-        at most one anchor, so the cap cannot stop the walk inside a run:
-        every row a run asks for is read, and no row past the cap is.
+        order, each type's members in superset order.  It reads
+        ``Freq(p, 2r)`` rows a run of candidates at a time: it yields the
+        run's POI indices and takes the ``(len(run), M)`` block of their
+        rows back through ``send``, so a caller can fill the rows many
+        walks wait on in one engine call and hand each walk its own.  A
+        run holds at most ``max_aux - len(anchors)`` candidates and each
+        adds at most one anchor, so the cap cannot stop the walk inside a
+        run: every row a run asks for is read, and no row past the cap is.
         """
         if self.max_aux == 0:
             return
         db = self._db
         anchor_loc = db.location_of(major_anchor)
-        yield np.array([major_anchor], dtype=np.intp)
-        f_diff = db.freq_at_poi(major_anchor, 2 * radius) - freq_vector
+        major_row = yield np.array([major_anchor], dtype=np.intp)
+        f_diff = major_row[0] - freq_vector
 
         types = db.type_ids[superset]
         # Ascending difference puts the sound zero-difference fast path
@@ -203,8 +208,8 @@ class FineGrainedAttack:
                 run = members[start : min(stop, start + self.max_aux - len(anchors))]
                 keep = np.ones(len(run), dtype=bool)
                 if not free:
-                    yield run
-                    keep[:] = dominates(db.anchor_freqs(2 * radius, run), freq_vector)
+                    rows = yield run
+                    keep[:] = dominates(rows, freq_vector)
                 for p, ok in zip(run.tolist(), keep):
                     if ok and mutually_consistent(p):
                         anchors.append(p)
@@ -224,7 +229,8 @@ class FineGrainedAttack:
         rounds: each round fills the union of the anchor rows the waiting
         walks asked for, with one
         :meth:`~repro.poi.database.POIDatabase.anchor_freqs` call per
-        radius, and resumes every walk until it asks again or finishes.
+        radius, and resumes every walk with its own rows of that block
+        until it asks again or finishes.
         Only the rows Algorithm 1 reads before its ``MAX_aux`` cap are
         ever computed.
         """
@@ -236,7 +242,7 @@ class FineGrainedAttack:
         for i, base in enumerate(bases):
             if base.success:
                 by_radius.setdefault(float(releases[i].radius), []).append(i)
-        walks: list[tuple[float, Iterator[np.ndarray]]] = []
+        walks: list[tuple[float, Walk, "np.ndarray | None"]] = []
         for radius, rows in by_radius.items():
             majors = [bases[i].candidates[0] for i in rows]
             xy = db.positions[np.asarray(majors, dtype=np.intp)]
@@ -245,15 +251,21 @@ class FineGrainedAttack:
                 superset = idx[offsets[j] : offsets[j + 1]]
                 freq_vector = np.asarray(releases[i].frequency_vector)
                 walk = self._harvest(freq_vector, radius, majors[j], superset, anchors[i])
-                walks.append((radius, walk))
+                walks.append((radius, walk, None))
         waiting = _advance(walks)
         while waiting:
             wanted: dict[float, list[np.ndarray]] = {}
             for radius, _, run in waiting:
                 wanted.setdefault(radius, []).append(run)
+            blocks: dict[float, tuple[np.ndarray, np.ndarray]] = {}
             for radius, runs in wanted.items():
-                db.anchor_freqs(2 * radius, np.unique(np.concatenate(runs)))
-            waiting = _advance((radius, walk) for radius, walk, _ in waiting)
+                pois = np.unique(np.concatenate(runs))
+                blocks[radius] = (pois, db.anchor_freqs(2 * radius, pois))
+            resumed: list[tuple[float, Walk, "np.ndarray | None"]] = []
+            for radius, walk, run in waiting:
+                pois, block = blocks[radius]
+                resumed.append((radius, walk, block[np.searchsorted(pois, run)]))
+            waiting = _advance(resumed)
         return [
             FineGrainedOutcome(
                 base=base,
@@ -266,13 +278,22 @@ class FineGrainedAttack:
         ]
 
 
+def _resume(walk: Walk, rows: "np.ndarray | None") -> "np.ndarray | None":
+    """Send *walk* the rows it asked for (None to start it); its next request,
+    or None once it has finished."""
+    try:
+        return next(walk) if rows is None else walk.send(rows)
+    except StopIteration:
+        return None
+
+
 def _advance(
-    walks: Iterable[tuple[float, Iterator[np.ndarray]]],
-) -> list[tuple[float, Iterator[np.ndarray], np.ndarray]]:
-    """Resume each harvest walk to its next row request; drop finished walks."""
-    waiting: list[tuple[float, Iterator[np.ndarray], np.ndarray]] = []
-    for radius, walk in walks:
-        run = next(walk, None)
+    walks: Iterable[tuple[float, Walk, "np.ndarray | None"]],
+) -> list[tuple[float, Walk, np.ndarray]]:
+    """Resume each harvest walk with its rows to its next request; drop finished walks."""
+    waiting: list[tuple[float, Walk, np.ndarray]] = []
+    for radius, walk, rows in walks:
+        run = _resume(walk, rows)
         if run is not None:
             waiting.append((radius, walk, run))
     return waiting

@@ -16,6 +16,7 @@ frequencies the models learn from co-occurrence.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class SanitizationRecoveryAttack:
         attacker knows which types are sanitized (observable from
         historical releases).
     C:
-        SVM soft-margin penalty (``model="svc"`` only).
+        SVM soft-margin penalty, positive (``model="svc"`` only).
     model:
         ``"svc"`` for the paper's RBF-SVC (one-vs-rest over libsvm's SMO
         solver) or ``"naive_bayes"`` for the closed-form Gaussian NB
@@ -84,6 +85,8 @@ class SanitizationRecoveryAttack:
     ) -> None:
         if model not in ("svc", "naive_bayes"):
             raise AttackError(f"unknown recovery model {model!r}")
+        if model == "svc" and not C > 0:
+            raise AttackError(f"C must be positive, got {C}")
         self._db = database
         self._sanitizer = sanitizer
         self._C = C
@@ -174,20 +177,18 @@ class SanitizationRecoveryAttack:
         train = self._model_inputs(self._X_train)
         val = self._model_inputs(self._scaler.transform(X[n_train:]))
 
-        type_ids: list[int] = []
-        accuracies: list[float] = []
-        self._models = {}
-        for t in modeled:
-            y = freqs[:, t].astype(np.int64)
-            if self._model_kind == "svc":
-                model: "OneVsRestSVC | GaussianNaiveBayes" = OneVsRestSVC(C=self._C)
-            else:
-                model = GaussianNaiveBayes()
-            model.fit(train, y[:n_train])
-            self._models[int(t)] = model
-            type_ids.append(int(t))
-            accuracies.append(accuracy_score(y[n_train:], model.predict(val)))
-        self._report = RecoveryTrainingReport(tuple(type_ids), tuple(accuracies))
+        labels = freqs[:, modeled].astype(np.int64).T
+        models: "Sequence[OneVsRestSVC | GaussianNaiveBayes]"
+        if self._model_kind == "svc":
+            # Every machine of every modeled type trains in one SMO loop.
+            models = OneVsRestSVC.fit_many(train, labels[:, :n_train], C=self._C)
+        else:
+            models = [GaussianNaiveBayes().fit(train, y[:n_train]) for y in labels]
+        self._models = {int(t): model for t, model in zip(modeled, models)}
+        accuracies = [
+            accuracy_score(y[n_train:], model.predict(val)) for y, model in zip(labels, models)
+        ]
+        self._report = RecoveryTrainingReport(tuple(self._models), tuple(accuracies))
         return self._report
 
     @property

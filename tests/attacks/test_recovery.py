@@ -13,6 +13,7 @@ from repro.ml.preprocessing import StandardScaler
 from repro.ml.svc import OneVsRestSVC
 from repro.poi.cities import DEFAULT_SEED, beijing, small_city
 from repro.poi.database import POIDatabase
+from tests.property.test_prop_ml import assert_matches_reference
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,14 @@ class TestTraining:
         attack = SanitizationRecoveryAttack(db, Sanitizer(db, 10))
         with pytest.raises(AttackError):
             attack.fit(radius=500.0, n_train=0, n_validation=10)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_non_positive_C_raises_at_construction(self, db, C):
+        with pytest.raises(AttackError, match="C must be positive"):
+            SanitizationRecoveryAttack(db, Sanitizer(db, 10), C=C)
+
+    def test_naive_bayes_ignores_C(self, db):
+        SanitizationRecoveryAttack(db, Sanitizer(db, 10), C=-1.0, model="naive_bayes")
 
 
 class TestRecovery:
@@ -139,7 +148,8 @@ def _reference_predict(model, X_train, X):
 
 
 def _reference_fit(db, sanitizer, modeled, radius, n_train, n_validation, rng, bounds):
-    """The recovery fit with a fresh Gram per type and a point-by-point draw."""
+    """The recovery fit with a fresh Gram per type, a point-by-point draw and
+    machines checked against the one-machine-at-a-time SMO loop."""
     locations = [bounds.sample_point(rng) for _ in range(n_train + n_validation)]
     freqs = db.freq_batch(locations, radius).astype(float)
     keep = np.ones(db.n_types, dtype=bool)
@@ -153,6 +163,11 @@ def _reference_fit(db, sanitizer, modeled, radius, n_train, n_validation, rng, b
         y = freqs[:, t].astype(np.int64)
         gram = rbf_kernel(X_train, X_train, gamma_scale(X_train))
         model = OneVsRestSVC(C=5.0).fit(gram, y[:n_train])
+        # Each machine as the SMO loop trained it one machine at a time.
+        positives = model.classes_[1:] if len(model.classes_) == 2 else model.classes_
+        for machine, positive in zip(model._machines, positives, strict=True):
+            labels = np.where(y[:n_train] == positive, 1.0, -1.0)
+            assert_matches_reference(machine, gram, labels, 5.0)
         models[int(t)] = model
         accuracies.append(accuracy_score(y[n_train:], _reference_predict(model, X_train, X_val)))
 
@@ -171,6 +186,8 @@ _SETUPS = {
     "small_city-900m": (lambda: small_city(seed=7), 900.0, None, 250, 70),
     # A ci-scale fig. 2 fit: the 20 rarest sanitized Beijing types at 1 km.
     "beijing-1km": (lambda: beijing(DEFAULT_SEED), 1_000.0, 20, 250, 60),
+    # The same at 500 m, where one machine of the fit has two classes.
+    "beijing-500m": (lambda: beijing(DEFAULT_SEED), 500.0, 20, 250, 60),
 }
 
 

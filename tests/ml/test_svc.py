@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from repro.core.errors import NotFittedError
 from repro.ml.kernels import gamma_scale, linear_kernel, rbf_kernel
+from repro.ml import svc
 from repro.ml.metrics import accuracy_score
 from repro.ml.svc import BinarySVC, OneVsRestSVC
 
@@ -142,6 +143,12 @@ class TestBinarySVC:
             BinarySVC(C=0.0)
         with pytest.raises(ValueError, match="tol"):
             BinarySVC(tol=0.0)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_raises(self, max_iter):
+        """A zero budget used to return an untrained machine that answers +1."""
+        with pytest.raises(ValueError, match="max_iter"):
+            BinarySVC(max_iter=max_iter)
 
     def test_decision_function_sign_matches_predict(self, circle_task):
         X, y = circle_task
@@ -286,6 +293,11 @@ class TestOneVsRestSVC:
         with pytest.raises(NotFittedError):
             OneVsRestSVC().predict(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
+    def test_non_positive_C_raises_at_construction(self, C):
+        with pytest.raises(ValueError, match="C must be positive"):
+            OneVsRestSVC(C=C)
+
     def test_imbalanced_frequency_prediction_task(self):
         """A sketch of the recovery task: mostly-zero counts with structure."""
         rng = np.random.default_rng(5)
@@ -325,15 +337,15 @@ class TestTwoClassOneVsRest:
     def test_trains_a_single_machine(self, monkeypatch):
         X, y = _quadrant_parity_task()
         calls = []
-        fit = BinarySVC.fit
+        smo = svc._smo
 
-        def counting_fit(self, K, y):
-            calls.append(len(K))
-            return fit(self, K, y)
+        def counting_smo(K, Y, *args):
+            calls.append(Y.shape)
+            return smo(K, Y, *args)
 
-        monkeypatch.setattr(BinarySVC, "fit", counting_fit)
+        monkeypatch.setattr(svc, "_smo", counting_smo)
         OneVsRestSVC(C=5.0).fit(_kernel(X, X), y)
-        assert calls == [len(X)]
+        assert calls == [(1, len(X))]
 
     def test_ties_resolve_to_the_first_class(self):
         X = np.zeros((6, 2))
