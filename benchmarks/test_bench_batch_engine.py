@@ -15,7 +15,7 @@ Asserts the two paths produce identical outcomes and that the batch
 engine is at least 5x faster **at every radius** — including the 4 km
 setting where the pre-pyramid engine collapsed to ~1.6x — and records
 the measurements in ``BENCH_batch_engine.json`` at the repo root.  Each
-per-radius row names the engine tier and kernel that actually ran, and a
+per-radius row names the engine tier that actually ran, and a
 whole-figure section times end-to-end ``fig6`` and ``fig7`` passes so
 regressions that only show up at figure granularity (plan overhead,
 cache churn) still move a recorded number.
@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.attacks.base import Release
 from repro.attacks.region import RegionAttack
 from repro.core.rng import derive_rng
-from repro.poi import kernels
 from repro.poi.cities import beijing
 from repro.poi.engine import collecting_query_plans, summarize_query_plans
 from repro.poi.frequency import dominates
@@ -135,7 +134,6 @@ def test_bench_batch_engine(benchmark, bench_scale):
     fold(run_once(benchmark, batch_all))
 
     engine = db.engine
-    kernel = kernels.active_kernel()
     rows = []
     for radius in RADII_M:
         rows.append(
@@ -144,7 +142,6 @@ def test_bench_batch_engine(benchmark, bench_scale):
                 "n_targets": n_targets,
                 "engine": engine.mode,
                 "tier": engine.select_tier(radius),
-                "kernel": kernel,
                 "scalar_s": scalar_seconds[radius],
                 "batch_s": batch_seconds[radius],
                 "speedup": scalar_seconds[radius] / batch_seconds[radius],
@@ -177,7 +174,7 @@ def test_bench_batch_engine(benchmark, bench_scale):
     print()
     for row in rows:
         print(
-            f"r={row['radius_m']:>6.0f} m  [{row['tier']}/{row['kernel']}]  "
+            f"r={row['radius_m']:>6.0f} m  [{row['tier']}]  "
             f"scalar {row['scalar_s']:.3f}s  "
             f"batch {row['batch_s']:.3f}s  speedup {row['speedup']:.1f}x"
         )

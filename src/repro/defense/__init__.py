@@ -1,7 +1,6 @@
 """Defense mechanisms: the three baselines plus the paper's contributions."""
 
 from repro.defense.base import Defense, NoDefense
-from repro.defense.budget import BudgetedDefense
 from repro.defense.cloaking import AdaptiveIntervalCloak, CloakingDefense, UserPopulation
 from repro.defense.dp_release import DPReleaseMechanism
 from repro.defense.geo_ind import GeoIndDefense
@@ -9,12 +8,7 @@ from repro.defense.laplace_release import LaplaceHistogramDefense
 from repro.defense.nonprivate import NonPrivateOptimizationDefense
 from repro.defense.optimization import PerturbationPlan, optimize_release
 from repro.defense.sanitization import Sanitizer
-from repro.defense.utility import (
-    jaccard_index,
-    l1_error,
-    normalized_utility,
-    top_k_jaccard,
-)
+from repro.defense.utility import jaccard_index, top_k_jaccard
 
 __all__ = [
     "Defense",
@@ -29,9 +23,6 @@ __all__ = [
     "NonPrivateOptimizationDefense",
     "DPReleaseMechanism",
     "LaplaceHistogramDefense",
-    "BudgetedDefense",
     "jaccard_index",
     "top_k_jaccard",
-    "l1_error",
-    "normalized_utility",
 ]

@@ -32,9 +32,8 @@ class LaplaceHistogramDefense(Defense):
     """Per-bin Laplace noise on the frequency vector (pure epsilon-DP).
 
     Exposes ``epsilon``/``delta`` as the per-release cost (pure DP, so
-    ``delta`` is 0), which makes it directly wrappable by
-    :class:`~repro.defense.budget.BudgetedDefense` and chargeable by the
-    serve layer's per-user ledgers.
+    ``delta`` is 0), which makes it chargeable by the serve layer's
+    per-user ledger.
     """
 
     #: Pure epsilon-DP: one release costs (epsilon, 0).

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.poi.frequency import top_k_types
 
-__all__ = ["jaccard_index", "top_k_jaccard", "l1_error", "normalized_utility"]
+__all__ = ["jaccard_index", "top_k_jaccard"]
 
 
 def jaccard_index(a: "frozenset[int] | set[int]", b: "frozenset[int] | set[int]") -> float:
@@ -26,31 +26,3 @@ def jaccard_index(a: "frozenset[int] | set[int]", b: "frozenset[int] | set[int]"
 def top_k_jaccard(original: np.ndarray, released: np.ndarray, k: int = 10) -> float:
     """Jaccard similarity of the Top-K type sets of two frequency vectors."""
     return jaccard_index(top_k_types(original, k), top_k_types(released, k))
-
-
-def l1_error(original: np.ndarray, released: np.ndarray) -> float:
-    """Total absolute count distortion between two frequency vectors.
-
-    The raw-count complement to the Top-K view: a consumer doing density
-    estimation rather than ranking cares about this quantity.
-    """
-    a = np.asarray(original, dtype=float)
-    b = np.asarray(released, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
-
-
-def normalized_utility(original: np.ndarray, released: np.ndarray) -> float:
-    """``1 - L1(original, released) / L1(original, 0)``, clamped to [0, 1].
-
-    1 means a verbatim release, 0 means distortion at least as large as
-    suppressing the vector entirely.  An all-zero original scores 1 only
-    against an all-zero release.
-    """
-    a = np.asarray(original, dtype=float)
-    total = float(np.abs(a).sum())
-    err = l1_error(original, released)
-    if total == 0.0:
-        return 1.0 if err == 0.0 else 0.0
-    return max(0.0, 1.0 - err / total)

@@ -55,11 +55,11 @@ class PrivacyAccountant:
     def try_spend(self, epsilon: float, delta: float = 0.0, label: str = "") -> bool:
         """Spend iff the budget affords it; never raises on refusal.
 
-        The commit-or-abort primitive shared by :class:`~repro.defense.budget.
-        BudgetedDefense` and the federated round supervisor: a refused spend
-        leaves the ledger untouched (the round aborts with its budget
-        unspent), an affordable spend is recorded exactly as :meth:`spend`
-        would record it.  Returns ``True`` when the spend was recorded.
+        The federated round supervisor's commit-or-abort primitive: a
+        refused spend leaves the ledger untouched (the round aborts with its
+        budget unspent), an affordable spend is recorded exactly as
+        :meth:`spend` would record it.  Returns ``True`` when the spend was
+        recorded.
         """
         if self.would_exceed(epsilon, delta):
             return False

@@ -1,15 +1,15 @@
 """Terminal chart rendering for experiment results.
 
-The paper's evaluation is figures; these helpers turn result series into
-compact ASCII line charts and CDF plots so ``poiagg run fig6 --chart``
-looks like the figure it reproduces, without any plotting dependency.
+The paper's evaluation is figures; :func:`line_chart` turns result series
+into compact ASCII line charts so ``poiagg run fig6 --chart`` looks like
+the figure it reproduces, without any plotting dependency.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["line_chart", "cdf_chart"]
+__all__ = ["line_chart"]
 
 _BLOCKS = " .:-=+*#%@"
 
@@ -76,24 +76,3 @@ def line_chart(
         lines.insert(0, f"[{y_label}]")
     lines.append("  " + "   ".join(legend))
     return "\n".join(lines)
-
-
-def cdf_chart(
-    samples_by_name: dict[str, Sequence[float]],
-    width: int = 60,
-    height: int = 14,
-    x_label: str = "",
-) -> str:
-    """Render empirical CDFs of one or more sample sets."""
-    series: dict[str, list[tuple[float, float]]] = {}
-    for name, samples in samples_by_name.items():
-        values = sorted(samples)
-        n = len(values)
-        if n == 0:
-            series[name] = []
-            continue
-        series[name] = [(v, (i + 1) / n) for i, v in enumerate(values)]
-    chart = line_chart(series, width=width, height=height, y_label="CDF")
-    if x_label:
-        chart += f"\n  x: {x_label}"
-    return chart

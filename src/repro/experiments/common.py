@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.datasets.targets import sample_targets
 from repro.experiments.scale import ExperimentScale
 from repro.geo.point import Point
 from repro.poi.cities import City
-from repro.poi.database import POIDatabase
 
-__all__ = ["RADII_M", "KM", "targets_for", "freq_matrix", "database_from_file"]
+__all__ = ["RADII_M", "KM", "targets_for", "freq_matrix"]
 
 #: The paper's four query ranges: 0.5, 1, 2, 4 km.
 RADII_M = (500.0, 1_000.0, 2_000.0, 4_000.0)
@@ -25,31 +22,6 @@ def targets_for(
 ) -> tuple[City, list[Point]]:
     """Sample a scale-sized target set from one of the paper's datasets."""
     return sample_targets(dataset, scale.n_targets, radius, scale.seed)
-
-
-def database_from_file(
-    path: "str | Path",
-    *,
-    policy: str = "strict",
-    cache_dir: "str | Path | None" = None,
-) -> POIDatabase:
-    """Load a real POI extract for use in an experiment.
-
-    Dispatches on suffix — ``.osm``/``.xml`` go through the OSM importer,
-    everything else through the CSV loader — with validation under
-    *policy* and the checksummed atomic dataset cache when *cache_dir* is
-    set.  The load's :class:`~repro.ingest.report.IngestReport` reaches
-    ``ExperimentResult.provenance["ingest"]`` automatically when called
-    from inside :func:`~repro.experiments.runner.run_many`.
-    """
-    path = Path(path)
-    if path.suffix.lower() in (".osm", ".xml"):
-        from repro.poi.osm import load_osm_xml
-
-        return load_osm_xml(path, policy=policy, cache_dir=cache_dir)
-    from repro.poi.io import load_database
-
-    return load_database(path, policy=policy, cache_dir=cache_dir)
 
 
 def freq_matrix(city: City, targets: list[Point], radius: float) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Distance computations, scalar and vectorized.
+"""Distance computations.
 
-The planar Euclidean functions are the hot path; the haversine function is
-kept for validating the projection and for any caller that works directly in
-geographic coordinates.
+:func:`haversine` is the reference the projection is validated against;
+:func:`l1_distance` compares frequency vectors.  Planar distances live on
+:class:`~repro.geo.point.Point`.
 """
 
 from __future__ import annotations
@@ -11,33 +11,9 @@ import math
 
 import numpy as np
 
-from repro.geo.point import EARTH_RADIUS_M, GeoPoint, Point
+from repro.geo.point import EARTH_RADIUS_M, GeoPoint
 
-__all__ = [
-    "euclidean",
-    "euclidean_many",
-    "pairwise_euclidean",
-    "haversine",
-    "l1_distance",
-]
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two planar points, in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def euclidean_many(center: Point, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Distances from *center* to each ``(xs[i], ys[i])``; vectorized."""
-    return np.hypot(xs - center.x, ys - center.y)
-
-
-def pairwise_euclidean(xy_a: np.ndarray, xy_b: np.ndarray) -> np.ndarray:
-    """Dense distance matrix between two ``(n, 2)`` / ``(m, 2)`` arrays."""
-    a = np.asarray(xy_a, dtype=float)
-    b = np.asarray(xy_b, dtype=float)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+__all__ = ["haversine", "l1_distance"]
 
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:

@@ -19,12 +19,10 @@ from collections.abc import Iterator, Sequence
 from repro.lint.engine import FileContext, Violation
 
 __all__ = [
-    "ANALYSES",
     "ANALYSIS_FAMILIES",
     "DataflowRule",
     "Rule",
     "RULES",
-    "rule_by_id",
 ]
 
 
@@ -153,8 +151,9 @@ class AccountantBypass(Rule):
     rationale = (
         "Theorem 4's (epsilon, delta) claim holds under sequential "
         "composition tracked by repro.dp.accountant.PrivacyAccountant; "
-        "BudgetedDefense guards the defense-layer release path with "
-        "accountant.spend. A mechanism invoked from attacks/, experiments/, "
+        "the serve ledger (repro.serve.ledger.BudgetLedger) meters every "
+        "served release with its user's accountant before the defense "
+        "layer runs it. A mechanism invoked from attacks/, experiments/, "
         "or examples/ bypasses the ledger, so the composed guarantee "
         "silently stops holding (Primault et al. catalogue exactly this "
         "failure mode in deployed location-privacy pipelines)."
@@ -188,9 +187,8 @@ class AccountantBypass(Rule):
                             ctx,
                             child,
                             "raw mechanism call in defense module scope; keep "
-                            "mechanism invocations inside Defense classes so "
-                            "the BudgetedDefense/accountant wrapper can guard "
-                            "the release path",
+                            "mechanism invocations inside Defense classes, "
+                            "the release path the serve ledger meters",
                         )
             yield from self._scan(
                 ctx, child, in_defense=in_defense, in_class=entering_class
@@ -1057,16 +1055,5 @@ RULES: tuple[Rule, ...] = (
     CommitProtocol(),
 )
 
-#: The project-wide analyses, keyed by family for ``--analysis``.
-ANALYSES: tuple[DataflowRule, ...] = tuple(
-    rule for rule in RULES if isinstance(rule, DataflowRule)
-)
-
+#: The dataflow analysis families ``--analysis`` selects.
 ANALYSIS_FAMILIES: tuple[str, ...] = ("taint", "locks", "commit")
-
-
-def rule_by_id(rule_id: str) -> Rule:
-    for rule in RULES:
-        if rule.id == rule_id.upper():
-            return rule
-    raise KeyError(rule_id)

@@ -1,16 +1,11 @@
 """From-scratch ML substrate replacing scikit-learn (offline build)."""
 
 from repro.ml.kernels import gamma_scale, linear_kernel, rbf_kernel
-from repro.ml.metrics import (
-    accuracy_score,
-    mean_absolute_error,
-    r2_score,
-    root_mean_squared_error,
-)
+from repro.ml.metrics import accuracy_score
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.svc import BinarySVC, OneVsRestSVC
-from repro.ml.svr import KernelRidge, LinearSVR
+from repro.ml.svr import KernelRidge
 
 __all__ = [
     "StandardScaler",
@@ -22,9 +17,5 @@ __all__ = [
     "OneVsRestSVC",
     "GaussianNaiveBayes",
     "KernelRidge",
-    "LinearSVR",
     "accuracy_score",
-    "mean_absolute_error",
-    "root_mean_squared_error",
-    "r2_score",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy_score", "mean_absolute_error", "root_mean_squared_error", "r2_score"]
+__all__ = ["accuracy_score"]
 
 
 def _check(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -21,25 +21,3 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Fraction of exact label matches."""
     y_true, y_pred = _check(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean(np.abs(y_true.astype(float) - y_pred.astype(float))))
-
-
-def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true.astype(float) - y_pred.astype(float)) ** 2)))
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; 0 for a constant true signal fit exactly."""
-    y_true, y_pred = _check(y_true, y_pred)
-    y_true = y_true.astype(float)
-    y_pred = y_pred.astype(float)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot

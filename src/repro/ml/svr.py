@@ -2,14 +2,8 @@
 
 The paper trains a support vector regressor on (duration, L1 frequency
 distance, hour/day one-hots) to predict the distance between two successive
-releases (§IV-B).  We provide two from-scratch regressors:
-
-* :class:`KernelRidge` — closed-form ridge regression in the RBF feature
-  space (the least-squares SVM); fast, exact, and the default estimator in
-  the experiments.
-* :class:`LinearSVR` — a linear epsilon-insensitive SVR trained with
-  averaged subgradient descent, for callers who want the paper's exact
-  loss on linear features.
+releases (§IV-B).  :class:`KernelRidge` stands in for it: closed-form ridge
+regression in the RBF feature space (the least-squares SVM), fast and exact.
 """
 
 from __future__ import annotations
@@ -17,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import NotFittedError
-from repro.core.rng import RngLike, as_generator
 from repro.ml.kernels import gamma_scale, rbf_kernel
 
-__all__ = ["KernelRidge", "LinearSVR"]
+__all__ = ["KernelRidge"]
 
 
 class KernelRidge:
@@ -58,70 +51,3 @@ class KernelRidge:
             raise NotFittedError("KernelRidge used before fit()")
         K = rbf_kernel(np.asarray(X, dtype=float), self._X, self._gamma_fitted)
         return K @ self._coef + self._y_mean
-
-
-class LinearSVR:
-    """Linear epsilon-insensitive SVR via averaged subgradient descent.
-
-    Minimises ``0.5 ||w||^2 + C * sum max(0, |y - w.x - b| - epsilon)``
-    with a decaying step size; the returned model averages the tail
-    iterates for stability.
-    """
-
-    def __init__(
-        self,
-        C: float = 1.0,
-        epsilon: float = 0.1,
-        n_epochs: int = 60,
-        learning_rate: float = 0.1,
-        rng: RngLike = None,
-    ) -> None:
-        if C <= 0:
-            raise ValueError(f"C must be positive, got {C}")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        self.C = C
-        self.epsilon = epsilon
-        self.n_epochs = n_epochs
-        self.learning_rate = learning_rate
-        self._rng = as_generator(rng)
-        self.coef_: "np.ndarray | None" = None
-        self.intercept_ = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVR":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n, d = X.shape
-        w = np.zeros(d)
-        b = 0.0
-        w_sum = np.zeros(d)
-        b_sum = 0.0
-        n_avg = 0
-        avg_from = self.n_epochs // 2
-        for epoch in range(self.n_epochs):
-            lr = self.learning_rate / (1.0 + 0.1 * epoch)
-            order = self._rng.permutation(n)
-            for i in order:
-                resid = y[i] - (X[i] @ w + b)
-                grad_w = w / n  # regulariser spread over samples
-                grad_b = 0.0
-                if resid > self.epsilon:
-                    grad_w -= self.C * X[i]
-                    grad_b -= self.C
-                elif resid < -self.epsilon:
-                    grad_w += self.C * X[i]
-                    grad_b += self.C
-                w -= lr * grad_w
-                b -= lr * grad_b
-            if epoch >= avg_from:
-                w_sum += w
-                b_sum += b
-                n_avg += 1
-        self.coef_ = w_sum / n_avg if n_avg else w
-        self.intercept_ = b_sum / n_avg if n_avg else b
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.coef_ is None:
-            raise NotFittedError("LinearSVR used before fit()")
-        return np.asarray(X, dtype=float) @ self.coef_ + self.intercept_

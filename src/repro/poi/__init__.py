@@ -4,7 +4,6 @@ from repro.poi.cities import CITY_BUILDERS, City, beijing, new_york, small_city
 from repro.poi.database import POIDatabase
 from repro.poi.frequency import (
     dominates,
-    normalize,
     top_k_types,
     validate_frequency_vector,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "POIDatabase",
     "dominates",
     "top_k_types",
-    "normalize",
     "validate_frequency_vector",
     "SyntheticCityConfig",
     "generate_city",

@@ -20,12 +20,12 @@ the serve dispatcher's micro-batches — routes through one
 
 Both tiers produce histograms bit-identical to the scalar reference —
 the pyramid's cell classification is conservative (see
-``grid_index._CELL_MARGIN``), and the band filter makes exactly the same
-keep decisions as ``_disk_keep`` whichever kernel
-(:mod:`repro.poi.kernels`) executes it.
+``grid_index._CELL_MARGIN``), and the band filter
+(:func:`repro.poi.kernels.band_histogram`) makes exactly the same keep
+decisions as ``_disk_keep``.
 
 Every engine call emits a :class:`QueryPlan` describing what actually ran
-(tier, kernel, pool sizes); experiment runners collect them with
+(tier, pool sizes); experiment runners collect them with
 :func:`collecting_query_plans` and fold a summary into result provenance.
 """
 
@@ -64,17 +64,16 @@ ENGINE_MODES = ("auto", "banded", "pyramid")
 class QueryPlan:
     """What one engine call actually executed.
 
-    ``engine`` is the caller's selector (``auto``/``banded``/``pyramid``),
-    ``tier`` the path that ran, ``kernel`` the band-filter implementation
-    (``numpy`` or ``numba``).  The pool statistics quantify the pyramid
-    win: ``n_interior_cells`` were answered by prefix-sum rectangle sums,
-    and only ``n_band_candidates`` pool entries paid the exact filter.
+    ``engine`` is the caller's selector (``auto``/``banded``/``pyramid``)
+    and ``tier`` the path that ran.  The pool statistics quantify the
+    pyramid win: ``n_interior_cells`` were answered by prefix-sum
+    rectangle sums, and only ``n_band_candidates`` pool entries paid the
+    exact filter.
     """
 
     op: str
     engine: str
     tier: str
-    kernel: str
     radius: float
     n_queries: int
     n_pairs: int
@@ -117,13 +116,13 @@ def summarize_query_plans(plans: list[QueryPlan]) -> dict[str, Any]:
     """Aggregate collected plans into a compact provenance record.
 
     Experiments issue thousands of engine calls; provenance keeps per
-    ``(op, tier, kernel)`` totals rather than the raw plan stream.
+    ``(op, tier)`` totals rather than the raw plan stream.
     """
-    groups: dict[tuple[str, str, str], dict[str, int]] = {}
+    groups: dict[tuple[str, str], dict[str, int]] = {}
     engines = sorted({p.engine for p in plans})
     for p in plans:
         g = groups.setdefault(
-            (p.op, p.tier, p.kernel),
+            (p.op, p.tier),
             {"calls": 0, "n_queries": 0, "n_interior_cells": 0, "n_band_candidates": 0},
         )
         g["calls"] += 1
@@ -133,8 +132,8 @@ def summarize_query_plans(plans: list[QueryPlan]) -> dict[str, Any]:
     return {
         "engines": engines,
         "calls": [
-            {"op": op, "tier": tier, "kernel": kernel, **stats}
-            for (op, tier, kernel), stats in sorted(groups.items())
+            {"op": op, "tier": tier, **stats}
+            for (op, tier), stats in sorted(groups.items())
         ],
     }
 
@@ -158,11 +157,6 @@ class FreqEngine:
         ``"banded"``/``"pyramid"`` force one path (the pyramid stays exact
         at any radius — forcing is a debugging/benchmarking tool, not a
         correctness risk).
-    pyramid_threshold_cells:
-        With ``mode="auto"``, use the pyramid once the radius spans at
-        least this many grid cells.  The default was tuned on the batch
-        engine bench: below it the plan overhead outweighs the trimmed
-        pool.
     """
 
     #: Auto tier boundary, in units of grid cells covered by the radius.
@@ -170,19 +164,10 @@ class FreqEngine:
     #: wins up to ~2.5 km, the pyramid from ~3 km up.
     PYRAMID_THRESHOLD_CELLS = 6.0
 
-    def __init__(
-        self,
-        database: POIDatabase,
-        mode: str = "auto",
-        pyramid_threshold_cells: float | None = None,
-    ) -> None:
+    def __init__(self, database: POIDatabase, mode: str = "auto") -> None:
         self._db = database
         self.mode = mode  # validated by the property setter
-        self._threshold = (
-            self.PYRAMID_THRESHOLD_CELLS
-            if pyramid_threshold_cells is None
-            else float(pyramid_threshold_cells)
-        )
+
     @property
     def mode(self) -> str:
         """The configured selector: ``auto``, ``banded`` or ``pyramid``."""
@@ -196,16 +181,12 @@ class FreqEngine:
             )
         self._mode = value
 
-    @property
-    def pyramid_threshold_cells(self) -> float:
-        return self._threshold
-
     def select_tier(self, radius: float) -> str:
         """The tier ``mode`` resolves to for one call at *radius*."""
         if self._mode != "auto":
             return self._mode
         cell = self._db.grid.cell_size
-        return "pyramid" if radius >= self._threshold * cell else "banded"
+        return "pyramid" if radius >= self.PYRAMID_THRESHOLD_CELLS * cell else "banded"
 
     # -- execution ----------------------------------------------------
 
@@ -217,7 +198,6 @@ class FreqEngine:
         db = self._db
         n, m = len(coords), db.n_types
         tier = self.select_tier(radius)
-        kernel = kernels.active_kernel()
         out = np.zeros((n, m), dtype=np.int64)
         stats = {"n_pairs": 0, "n_interior_cells": 0, "n_band_candidates": 0}
         if n and len(db):
@@ -232,7 +212,6 @@ class FreqEngine:
                 op=op,
                 engine=self._mode,
                 tier=tier,
-                kernel=kernel,
                 radius=float(radius),
                 n_queries=n,
                 n_pairs=stats["n_pairs"],

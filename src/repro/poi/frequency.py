@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.errors import ReleaseValidationError
 
-__all__ = ["dominates", "top_k_types", "normalize", "validate_frequency_vector"]
+__all__ = ["dominates", "top_k_types", "validate_frequency_vector"]
 
 
 def validate_frequency_vector(
@@ -89,15 +89,3 @@ def top_k_types(freq_vector: np.ndarray, k: int) -> frozenset[int]:
     k = min(k, len(freq_vector))
     order = np.lexsort((np.arange(len(freq_vector)), -freq_vector))
     return frozenset(int(t) for t in order[:k])
-
-
-def normalize(freq_vector: np.ndarray) -> np.ndarray:
-    """L1-normalise a frequency vector to a probability distribution.
-
-    An all-zero vector maps to the uniform distribution.
-    """
-    v = np.asarray(freq_vector, dtype=float)
-    total = v.sum()
-    if total <= 0:
-        return np.full(v.shape, 1.0 / len(v))
-    return v / total

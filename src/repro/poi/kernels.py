@@ -1,127 +1,29 @@
-"""Band histogram kernels for the Freq query engine.
+"""Histogram kernels for the Freq query engine.
 
 The engine reduces every Freq evaluation to "histogram the pool entries
-that survive the exact disk filter".  This module provides that reduction
-in two interchangeable implementations:
-
-* a pure-NumPy kernel (always available) that mirrors
-  :func:`repro.geo.grid_index._disk_keep` exactly, and
-* an optional `numba`-compiled kernel that fuses the gather, filter and
-  histogram into one pass over the pool.
-
-Both make identical keep decisions — squared-distance prefilter with the
-same 1e-12-relative boundary band re-decided by ``np.hypot`` — so they are
-interchangeable under the bit-identity property suite.  Numba is an
-optional dependency: when it is missing (or ``POIAGG_KERNEL=numpy`` is
-set), the NumPy kernel is used and nothing is imported.  ``POIAGG_KERNEL``
-accepts ``auto`` (default), ``numpy``, or ``numba``; asking for ``numba``
-without the package installed raises at first use rather than silently
-degrading, so CI can prove which kernel ran.
+that survive the exact disk filter".  :func:`band_histogram` is that
+reduction: a NumPy kernel whose keep decisions are
+:func:`repro.geo.grid_index._disk_keep`'s, so the engine stays
+bit-identical to the scalar reference.  :func:`run_histogram` counts pool
+entries that need no filter.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable
-
 import numpy as np
 
-from repro.core.errors import DatasetError
 from repro.geo.grid_index import _disk_keep
 
-__all__ = ["band_histogram", "run_histogram", "active_kernel", "numba_available"]
-
-_ENV_VAR = "POIAGG_KERNEL"
-
-#: Smallest normal float64 — matches ``repro.geo.grid_index._TINY``.
-_TINY = np.finfo(np.float64).tiny
-
-# Resolved lazily so importing this module never pays for (or requires)
-# numba; value is ``None`` until the first kernel call.
-_numba_kernel: Callable[..., np.ndarray] | None = None
-_numba_checked = False
-
-
-def numba_available() -> bool:
-    """Whether the numba-compiled kernel can be built in this interpreter."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _requested() -> str:
-    mode = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if mode not in ("auto", "numpy", "numba"):
-        raise DatasetError(
-            f"{_ENV_VAR} must be 'auto', 'numpy' or 'numba', got {mode!r}"
-        )
-    return mode
-
-
-def _build_numba_kernel() -> Callable[..., np.ndarray] | None:
-    """Compile the fused gather+filter+histogram kernel, once per process."""
-    global _numba_kernel, _numba_checked
-    if _numba_checked:
-        return _numba_kernel
-    _numba_checked = True
-    try:
-        import numba
-    except ImportError:
-        _numba_kernel = None
-        return None
-
-    @numba.njit(cache=True)  # pragma: no cover - exercised only with numba installed
-    def _kernel(
-        pos: np.ndarray,
-        owners: np.ndarray,
-        xord: np.ndarray,
-        yord: np.ndarray,
-        tord: np.ndarray,
-        qx: np.ndarray,
-        qy: np.ndarray,
-        radius: float,
-        nq: int,
-        m: int,
-    ) -> np.ndarray:
-        hist = np.zeros(nq * m, dtype=np.int64)
-        rsq = radius * radius
-        band_tol = 1e-12 * rsq
-        tiny = _TINY
-        for i in range(len(pos)):
-            p = pos[i]
-            o = owners[i]
-            dx = xord[p] - qx[o]
-            dy = yord[p] - qy[o]
-            d2 = dx * dx
-            d2 += dy * dy
-            keep = d2 <= rsq
-            # Same boundary band as _disk_keep, re-decided with np.hypot so
-            # the compiled path cannot diverge from the NumPy path by even
-            # one keep decision.
-            if abs(d2 - rsq) <= band_tol or d2 < tiny or rsq < tiny or not np.isfinite(d2):
-                keep = np.hypot(dx, dy) <= radius
-            if keep:
-                hist[o * m + tord[p]] += 1
-        return hist
-
-    _numba_kernel = _kernel
-    return _numba_kernel
+__all__ = ["band_histogram", "run_histogram", "active_kernel"]
 
 
 def active_kernel() -> str:
-    """The kernel name (``"numpy"`` or ``"numba"``) the next call will use."""
-    mode = _requested()
-    if mode == "numpy":
-        return "numpy"
-    kernel = _build_numba_kernel()
-    if mode == "numba" and kernel is None:
-        raise DatasetError(
-            f"{_ENV_VAR}=numba requested but numba is not importable; "
-            "install numba or unset the variable"
-        )
-    return "numpy" if kernel is None else "numba"
+    """The band-filter kernel's name: always ``"numpy"``.
+
+    Kept only because the end-to-end benchmark's worker records it in each
+    result's environment; it goes with the benchmark's next refresh.
+    """
+    return "numpy"
 
 
 def band_histogram(
@@ -145,25 +47,6 @@ def band_histogram(
     type for query ``i`` — exactly what filtering with ``_disk_keep`` and
     ``np.bincount`` would produce.
     """
-    kernel: Any = None
-    if _requested() != "numpy":
-        kernel = _build_numba_kernel()
-        if kernel is None and _requested() == "numba":
-            active_kernel()  # raises with the explanatory message
-    if kernel is not None:
-        flat = kernel(
-            pos,
-            owners,
-            xord,
-            yord,
-            tord,
-            np.ascontiguousarray(qx),
-            np.ascontiguousarray(qy),
-            float(radius),
-            nq,
-            m,
-        )
-        return flat.reshape(nq, m)
     dx = xord[pos]
     dx -= qx[owners]
     dy = yord[pos]
@@ -171,8 +54,8 @@ def band_histogram(
     keep = _disk_keep(dx, dy, radius)
     kept_owner = owners[keep].astype(np.int64)
     kept_type = tord[pos[keep]]
-    flat_np = np.bincount(kept_owner * m + kept_type, minlength=nq * m)
-    return flat_np.reshape(nq, m)
+    flat = np.bincount(kept_owner * m + kept_type, minlength=nq * m)
+    return flat.reshape(nq, m)
 
 
 def run_histogram(

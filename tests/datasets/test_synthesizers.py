@@ -18,7 +18,6 @@ from repro.datasets.tdrive import (
     taxi_locations,
 )
 from repro.datasets.trajectory import Trajectory, TrajectoryPoint
-from repro.geo.distance import euclidean
 from repro.geo.point import Point
 from repro.poi.cities import DEFAULT_SEED, beijing, new_york
 
@@ -51,7 +50,7 @@ class TestTaxiSynthesis:
                 dt = b.timestamp - a.timestamp
                 if dt <= 0:
                     continue
-                speed = euclidean(a.location, b.location) / dt
+                speed = a.location.distance_to(b.location) / dt
                 assert speed <= config.speed_max_mps + 1.0
 
     def test_invalid_config_raises(self):

@@ -46,39 +46,3 @@ class TestTopKJaccard:
     def test_k_default_is_ten(self):
         v = np.arange(20)
         assert top_k_jaccard(v, v) == 1.0
-
-
-class TestL1Utilities:
-    def test_l1_error_basic(self):
-        from repro.defense.utility import l1_error
-
-        assert l1_error(np.array([3, 0, 5]), np.array([1, 2, 5])) == 4.0
-
-    def test_l1_error_shape_mismatch(self):
-        from repro.defense.utility import l1_error
-
-        with pytest.raises(ValueError):
-            l1_error(np.array([1]), np.array([1, 2]))
-
-    def test_normalized_utility_bounds(self):
-        from repro.defense.utility import normalized_utility
-
-        original = np.array([4, 4, 2])
-        assert normalized_utility(original, original) == 1.0
-        assert normalized_utility(original, np.zeros(3)) == 0.0
-        half = normalized_utility(original, np.array([4, 4, 0]))
-        assert 0.0 < half < 1.0
-
-    def test_normalized_utility_zero_vector(self):
-        from repro.defense.utility import normalized_utility
-
-        zero = np.zeros(3)
-        assert normalized_utility(zero, zero) == 1.0
-        assert normalized_utility(zero, np.array([1, 0, 0])) == 0.0
-
-    def test_overshoot_clamped(self):
-        from repro.defense.utility import normalized_utility
-
-        original = np.array([1, 1])
-        wild = np.array([100, 100])
-        assert normalized_utility(original, wild) == 0.0

@@ -1,6 +1,6 @@
 """Tests for the ASCII chart rendering."""
 
-from repro.experiments.charts import cdf_chart, line_chart
+from repro.experiments.charts import line_chart
 
 
 class TestLineChart:
@@ -30,18 +30,3 @@ class TestLineChart:
         chart = line_chart({"a": [(0, 0), (1, 1)]}, width=30, height=8)
         body = [line for line in chart.splitlines() if "|" in line]
         assert len(body) == 8
-
-
-class TestCdfChart:
-    def test_monotone_series(self):
-        chart = cdf_chart({"areas": [3.0, 1.0, 2.0, 4.0]}, x_label="km2")
-        assert "CDF" in chart
-        assert "x: km2" in chart
-
-    def test_multiple_series(self):
-        chart = cdf_chart({"a": [1, 2, 3], "b": [2, 3, 4]})
-        assert "a" in chart and "b" in chart
-
-    def test_empty_series_ok(self):
-        chart = cdf_chart({"a": [], "b": [1.0]})
-        assert "b" in chart

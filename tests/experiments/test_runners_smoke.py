@@ -101,6 +101,21 @@ class TestRunnersSmoke:
         if "single_success" in row:
             assert row["enhanced_success"] >= row["single_success"] - 1e-9
 
+    def test_fig8_trains_on_at_most_n_train_pairs(self, monkeypatch):
+        from repro.experiments import fig8_trajectory
+
+        sizes = []
+        fit = fig8_trajectory.DistanceRegressor.fit
+
+        def counting_fit(self, releases, distances, **kwargs):
+            sizes.append(len(releases))
+            return fit(self, releases, distances, **kwargs)
+
+        monkeypatch.setattr(fig8_trajectory.DistanceRegressor, "fit", counting_fit)
+        run_fig8(MICRO, radii=(1_000.0,))
+        # Half the micro fleet's usable pairs outnumber n_train, so the cap binds.
+        assert sizes == [MICRO.n_train]
+
     def test_fig9_10(self):
         result = run_fig9_10(
             MICRO, radii=(2_000.0,), datasets=("bj_tdrive",), betas=(0.01, 0.05)

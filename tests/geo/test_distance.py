@@ -3,35 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geo.distance import (
-    euclidean,
-    euclidean_many,
-    haversine,
-    l1_distance,
-    pairwise_euclidean,
-)
-from repro.geo.point import GeoPoint, Point
-
-
-class TestEuclidean:
-    def test_scalar(self):
-        assert euclidean(Point(0, 0), Point(6, 8)) == pytest.approx(10.0)
-
-    def test_many_matches_scalar(self):
-        center = Point(2.0, -1.0)
-        xs = np.array([0.0, 5.0, -3.0])
-        ys = np.array([4.0, -1.0, 2.5])
-        result = euclidean_many(center, xs, ys)
-        expected = [euclidean(center, Point(x, y)) for x, y in zip(xs, ys)]
-        np.testing.assert_allclose(result, expected)
-
-    def test_pairwise_shape_and_values(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0]])
-        b = np.array([[0.0, 0.0], [0.0, 3.0], [4.0, 0.0]])
-        d = pairwise_euclidean(a, b)
-        assert d.shape == (2, 3)
-        np.testing.assert_allclose(d[0], [0.0, 3.0, 4.0])
-        np.testing.assert_allclose(d[1], [1.0, np.sqrt(10.0), 3.0])
+from repro.geo.distance import haversine, l1_distance
+from repro.geo.point import GeoPoint
 
 
 class TestHaversine:

@@ -1,7 +1,7 @@
 """PL002 positive case *inside* defense/: a free-function mechanism call.
 
-Mechanism invocations in repro.defense must live inside Defense classes so
-the BudgetedDefense/PrivacyAccountant wrapper can guard the release path;
+Mechanism invocations in repro.defense must live inside Defense classes,
+the release path the serve ledger's PrivacyAccountant meters;
 a module-level helper bypasses that structure.
 """
 

@@ -1,7 +1,7 @@
 """Compliant PL012 patterns: a failed spend stops the release.
 
 Lints as repro.defense.fixture.  Re-raising, returning the refusal,
-and the no-try ``try_spend`` guard (BudgetedDefense's idiom) are all
+and the no-try ``try_spend`` guard (the federated round's idiom) are all
 sound: the exception edge cannot reach the mechanism call.
 """
 

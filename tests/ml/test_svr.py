@@ -1,12 +1,17 @@
-"""Tests for the kernel and linear regressors."""
+"""Tests for the kernel ridge regressor."""
 
 import numpy as np
 import pytest
 
 from repro.core.errors import NotFittedError
-from repro.ml.metrics import r2_score
-from repro.ml.preprocessing import StandardScaler
-from repro.ml.svr import KernelRidge, LinearSVR
+from repro.ml.svr import KernelRidge
+
+
+def r2_score(y_true, y_pred):
+    """Coefficient of determination of a fit."""
+    ss_res = np.sum((y_true - y_pred) ** 2)
+    ss_tot = np.sum((y_true - y_true.mean()) ** 2)
+    return 1.0 - ss_res / ss_tot
 
 
 @pytest.fixture(scope="module")
@@ -51,40 +56,3 @@ class TestKernelRidge:
         y = np.full(50, 7.0)
         model = KernelRidge(alpha=1.0).fit(X, y)
         np.testing.assert_allclose(model.predict(X), 7.0, atol=0.2)
-
-
-class TestLinearSVR:
-    def test_fits_linear_function(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(400, 3))
-        y = 2.0 * X[:, 0] - 1.0 * X[:, 2] + 0.5 + rng.normal(0, 0.05, 400)
-        model = LinearSVR(C=1.0, epsilon=0.05, rng=0).fit(X, y)
-        assert r2_score(y, model.predict(X)) > 0.9
-
-    def test_distance_style_task(self):
-        """The trajectory-attack setting: distance ~ duration x speed."""
-        rng = np.random.default_rng(2)
-        dur = rng.uniform(10, 600, 500)
-        speed = rng.uniform(5, 15, 500)
-        d_km = dur * speed / 1000.0
-        X = StandardScaler().fit_transform(np.column_stack([dur, rng.normal(size=500)]))
-        model = LinearSVR(C=1.0, epsilon=0.1, rng=0).fit(X, d_km)
-        assert r2_score(d_km, model.predict(X)) > 0.6
-
-    def test_epsilon_wider_than_signal_learns_nothing(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(200, 2))
-        y = X[:, 0] * 0.1  # range ~0.3
-        model = LinearSVR(C=1.0, epsilon=10.0, rng=0).fit(X, y)
-        # All residuals inside the insensitive band: weights stay ~0.
-        assert np.abs(model.coef_).max() < 0.05
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            LinearSVR().predict(np.zeros((1, 2)))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            LinearSVR(C=0.0)
-        with pytest.raises(ValueError):
-            LinearSVR(epsilon=-1.0)

@@ -1,11 +1,11 @@
-"""The unified FreqEngine facade: tiering, modes, kernels, provenance.
+"""The unified FreqEngine facade: tiering, modes, provenance.
 
 The engine's contract is bit-identity: whatever the mode (banded,
-pyramid, or the radius-tiered auto), whatever the kernel, ``freq_batch``
-must return exactly the histograms the scalar ``freq`` loop returns.
-These tests pin that at the boundary radii where the pyramid's geometry
-is most fragile — radii smaller than one cell, radii covering the whole
-grid, targets on grid edges and corners, and targets outside the bounds.
+pyramid, or the radius-tiered auto), ``freq_batch`` must return exactly
+the histograms the scalar ``freq`` loop returns.  These tests pin that at
+the boundary radii where the pyramid's geometry is most fragile — radii
+smaller than one cell, radii covering the whole grid, targets on grid
+edges and corners, and targets outside the bounds.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.poi.engine import (
     collecting_query_plans,
     summarize_query_plans,
 )
-from repro.poi import kernels
 
 
 def scalar_freqs(db, coords, radius):
@@ -60,7 +59,7 @@ class TestModeSelection:
     def test_auto_tiers_by_radius(self, db):
         engine = FreqEngine(db)
         cell = db.grid.cell_size
-        threshold = engine.pyramid_threshold_cells * cell
+        threshold = FreqEngine.PYRAMID_THRESHOLD_CELLS * cell
         assert engine.select_tier(threshold / 4) == "banded"
         assert engine.select_tier(threshold * 4) == "pyramid"
 
@@ -118,28 +117,6 @@ class TestBitIdentityAtBoundaryRadii:
         )
 
 
-class TestKernelSelection:
-    def test_env_var_validated(self, db, monkeypatch):
-        monkeypatch.setenv("POIAGG_KERNEL", "fortran")
-        with pytest.raises(DatasetError, match="POIAGG_KERNEL"):
-            kernels.active_kernel()
-
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv("POIAGG_KERNEL", "numpy")
-        assert kernels.active_kernel() == "numpy"
-
-    def test_numba_without_package_raises(self, monkeypatch):
-        if kernels.numba_available():  # pragma: no cover - numba-present CI job
-            pytest.skip("numba installed: forcing it cannot fail")
-        monkeypatch.setenv("POIAGG_KERNEL", "numba")
-        with pytest.raises(DatasetError, match="numba"):
-            kernels.active_kernel()
-
-    def test_auto_resolves(self, monkeypatch):
-        monkeypatch.delenv("POIAGG_KERNEL", raising=False)
-        assert kernels.active_kernel() in ("numpy", "numba")
-
-
 class TestQueryPlanProvenance:
     def test_plans_are_recorded_per_call(self, db, rng):
         coords = rng.uniform(2_000, 8_000, size=(10, 2))
@@ -169,7 +146,6 @@ class TestQueryPlanProvenance:
         tiers = {row["tier"] for row in summary["calls"]}
         assert tiers == {"banded", "pyramid"}
         for row in summary["calls"]:
-            assert row["kernel"] in ("numpy", "numba")
             assert row["calls"] >= 1
 
     def test_run_many_folds_summary_into_provenance(self, db, rng, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.poi.frequency import dominates, normalize, top_k_types
+from repro.poi.frequency import dominates, top_k_types
 
 
 class TestDominates:
@@ -42,14 +42,3 @@ class TestTopKTypes:
     def test_all_zero_vector_deterministic(self):
         freq = np.zeros(5, dtype=int)
         assert top_k_types(freq, 3) == frozenset({0, 1, 2})
-
-
-class TestNormalize:
-    def test_sums_to_one(self):
-        out = normalize(np.array([2, 2, 4]))
-        assert out.sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(out, [0.25, 0.25, 0.5])
-
-    def test_zero_vector_uniform(self):
-        out = normalize(np.zeros(4))
-        np.testing.assert_allclose(out, [0.25] * 4)

@@ -54,15 +54,11 @@ assert not loaded, f"serve pulled in {loaded}"
 CLI_PROBE = HIDE_UNDECLARED + """
 import repro.cli
 import repro.experiments.registry
-from repro.poi import kernels
-
-assert kernels.active_kernel() == "numpy", kernels.active_kernel()
 """
 
 
 def _run_probe(probe: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("POIAGG_KERNEL", None)
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
