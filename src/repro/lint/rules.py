@@ -684,6 +684,13 @@ class NonAtomicRoleWrite(Rule):
 #: (``q.get(True, 0.1)``) is already bounded.
 _BLOCKING_ATTRS = ("get", "wait", "join", "recv", "sleep")
 
+#: Stdlib request handlers whose socket reads block with no timeout
+#: unless the class sets a ``timeout`` attribute.
+_STREAM_HANDLERS = {
+    "http.server.BaseHTTPRequestHandler",
+    "socketserver.StreamRequestHandler",
+}
+
 
 class UnboundedServeBlocking(Rule):
     """PL008 — serve-path blocking calls must carry a timeout."""
@@ -700,13 +707,24 @@ class UnboundedServeBlocking(Rule):
         "one such call in a handler or dispatcher loop turns a transient "
         "stall into a permanent one that no deadline, retry, or drain "
         "can reach. Every blocking call in repro.serve must pass a "
-        "timeout (the idle poll interval is the conventional bound)."
+        "timeout (the idle poll interval is the conventional bound), and "
+        "every stream request handler must set a `timeout` class "
+        "attribute: its socket reads otherwise wait forever on a client "
+        "that never sends the body it promised."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.is_test or not ctx.module.startswith("repro.serve"):
             return
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef) and self._unbounded_handler(ctx, node):
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"request handler `{node.name}` sets no `timeout`, so its "
+                    "socket reads can block a server thread forever on a "
+                    "silent client; set a `timeout` class attribute",
+                )
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             if node.func.attr not in _BLOCKING_ATTRS:
@@ -722,6 +740,22 @@ class UnboundedServeBlocking(Rule):
                 "serve thread forever; pass timeout=... so shutdown, "
                 "deadlines, and the shed ladder can intervene",
             )
+
+    @staticmethod
+    def _unbounded_handler(ctx: FileContext, node: ast.ClassDef) -> bool:
+        """A direct stdlib stream-handler subclass with no non-None ``timeout``."""
+        if not any(ctx.imports.resolve(base) in _STREAM_HANDLERS for base in node.bases):
+            return False
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "timeout" for t in targets):
+                return _is_none(value)
+        return True
 
 
 #: The dotted names a direct SharedMemory construction resolves to.

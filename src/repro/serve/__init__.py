@@ -21,7 +21,8 @@ that long-running service, with robustness as the headline:
   harness driving the fate invariant
   (``completed + refused + shed + failed == accepted``), built on
   :mod:`repro.core.faults`;
-* :mod:`repro.serve.httpapi` — the stdlib ``ThreadingHTTPServer`` edge;
+* :mod:`repro.serve.httpapi` — the stdlib ``ThreadingHTTPServer`` edge,
+  whose handler sockets time out;
 * :mod:`repro.serve.loadgen` — the deterministic in-process load
   generator behind ``poiagg loadgen`` and ``BENCH_serve.json``.
 

@@ -31,7 +31,12 @@ class ServeConfig:
         Micro-batching window: a worker takes up to ``batch_max``
         requests, waiting at most ``batch_wait_s`` after the first, and
         answers the whole batch with one
-        :meth:`~repro.poi.database.POIDatabase.freq_batch` call.
+        :meth:`~repro.poi.database.POIDatabase.freq_batch` call.  The
+        window is most of a lightly loaded release's latency, and it
+        caps a busy worker at about one batch per window, so a batch's
+        fixed cost ``a`` (a ``freq_batch`` call per radius and one WAL
+        fsync, about 0.2 ms of CPU) costs at most ``a / batch_wait_s``
+        of a core: about 5% at the 5 ms default.
     poll_interval_s:
         Idle worker wake-up period (every blocking dequeue carries this
         timeout — rule PL008).
@@ -74,7 +79,7 @@ class ServeConfig:
     queue_capacity: int = 256
     n_workers: int = 1
     batch_max: int = 64
-    batch_wait_s: float = 0.02
+    batch_wait_s: float = 0.005
     poll_interval_s: float = 0.05
     deadline_s: float = 10.0
     max_attempts: int = 3

@@ -21,6 +21,12 @@ Endpoints:
 * ``GET /v1/jobs/<id>`` — one job's state/fate (no result vector)
 * ``GET /v1/result/<id>`` — 200 with the vector once completed, 202 while
   pending, 410 for non-completed terminal fates
+
+Each connection gets its own daemon handler thread, which
+``server_close()`` does not wait for, and every handler socket carries a
+timeout: a client that stalls mid-request (a promised body that never
+arrives, an idle connection) is dropped instead of keeping its thread
+for good.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ __all__ = ["ServeHTTPServer", "make_server"]
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: Socket timeout of every handler read and write, in seconds: a silent
+#: client is dropped after this long instead of keeping its thread for
+#: good, and a few seconds is far above any real client's gap.
+_HANDLER_TIMEOUT_S = 5.0
+
 
 class ServeHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service for its handlers."""
@@ -50,6 +61,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: ServeHTTPServer
+    timeout = _HANDLER_TIMEOUT_S
 
     # Silence per-request stderr logging; the JSONL journal is the log.
     def log_message(self, format: str, *args: Any) -> None:

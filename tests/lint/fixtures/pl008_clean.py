@@ -6,6 +6,7 @@ Linted as ``src/repro/serve/fixture.py``; zero findings expected.
 
 import queue
 import threading
+from http.server import BaseHTTPRequestHandler
 
 POLL_INTERVAL_S = 0.05
 
@@ -34,3 +35,11 @@ def bounded_positional(jobs: "queue.Queue[object]") -> object:
 def look_alikes(config: dict, parts: list) -> str:
     level = config.get("level", "full")  # dict lookup, not a dequeue
     return str(level) + ", ".join(str(p) for p in parts)  # str.join
+
+
+class BoundedHandler(BaseHTTPRequestHandler):
+    timeout = 5.0  # every socket read and write times out: ok
+
+    def do_POST(self) -> None:
+        length = int(self.headers.get("Content-Length", "0"))
+        self.rfile.read(length)

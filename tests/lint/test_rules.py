@@ -36,6 +36,7 @@ CASES = [
     ("pl007_violations.py", "src/repro/experiments/fixture.py", "PL007", 4),
     ("pl007_clean.py", "src/repro/experiments/fixture.py", "PL007", 0),
     ("pl008_violations.py", "src/repro/serve/fixture.py", "PL008", 4),
+    ("pl008_handler_violations.py", "src/repro/serve/fixture.py", "PL008", 1),
     ("pl008_clean.py", "src/repro/serve/fixture.py", "PL008", 0),
     ("pl009_violations.py", "src/repro/experiments/fixture.py", "PL009", 5),
     ("pl009_clean.py", "src/repro/experiments/fixture.py", "PL009", 0),
